@@ -606,7 +606,7 @@ let suite_cmd =
     | Invalid_argument msg | Sys_error msg | Failure msg ->
         Printf.eprintf "error: %s\n" msg;
         1
-    | Fleet.Json.Parse_error msg ->
+    | Json.Parse_error msg ->
         Printf.eprintf
           "error: corrupt results store (%s); pass --no-cache or delete the \
            file\n"
@@ -734,7 +734,7 @@ let validate_cmd =
           1
         end
         else 0
-    | exception Fleet.Json.Parse_error msg | exception Failure msg ->
+    | exception Json.Parse_error msg | exception Failure msg ->
         Printf.eprintf "error: %s\n" msg;
         1
     | exception Sys_error msg ->
@@ -869,10 +869,10 @@ let improve_cmd =
     in
     let report_line (r : Regime.report) wall =
       match Regime.to_json r with
-      | Fleet.Json.Obj kvs ->
-          Fleet.Json.to_string
-            (Fleet.Json.Obj (kvs @ [ ("wall_s", Fleet.Json.Num wall) ]))
-      | j -> Fleet.Json.to_string j
+      | Json.Obj kvs ->
+          Json.to_string
+            (Json.Obj (kvs @ [ ("wall_s", Json.Num wall) ]))
+      | j -> Json.to_string j
     in
     try
       if sweep then begin
@@ -1553,15 +1553,15 @@ let client_cmd =
   (* A cached record is by construction a copy of an ok record, so the
      comparison normalises "cached" to "ok"; everything else but the
      wall-time is compared strictly. *)
-  let strip_wall (j : Fleet.Json.t) : Fleet.Json.t =
+  let strip_wall (j : Json.t) : Json.t =
     match j with
-    | Fleet.Json.Obj kvs ->
-        Fleet.Json.Obj
+    | Json.Obj kvs ->
+        Json.Obj
           (List.filter_map
              (fun (k, v) ->
                if k = "wall_s" then None
-               else if k = "status" && v = Fleet.Json.Str "cached" then
-                 Some (k, Fleet.Json.Str "ok")
+               else if k = "status" && v = Json.Str "cached" then
+                 Some (k, Json.Str "ok")
                else Some (k, v))
              kvs)
     | j -> j
@@ -1665,15 +1665,15 @@ let client_cmd =
             | Some store_path ->
                 let got =
                   strip_wall
-                    (Fleet.Json.of_string (String.trim r.Serve.Client.c_body))
+                    (Json.of_string (String.trim r.Serve.Client.c_body))
                 in
                 let resp_json =
-                  Fleet.Json.of_string (String.trim r.Serve.Client.c_body)
+                  Json.of_string (String.trim r.Serve.Client.c_body)
                 in
-                let name = Fleet.Json.get_str "name" resp_json in
+                let name = Json.get_str "name" resp_json in
                 let resp_engine =
-                  match Fleet.Json.member "engine" resp_json with
-                  | Some (Fleet.Json.Str s) -> s
+                  match Json.member "engine" resp_json with
+                  | Some (Json.Str s) -> s
                   | _ -> "full"
                 in
                 let expected =
@@ -1699,7 +1699,7 @@ let client_cmd =
                         (Printf.sprintf "no record named %s in %s" name
                            store_path)
                 in
-                if Fleet.Json.to_string got = Fleet.Json.to_string expected
+                if Json.to_string got = Json.to_string expected
                 then begin
                   Printf.eprintf
                     "match: response equals the stored record for %s (modulo \
@@ -1710,8 +1710,8 @@ let client_cmd =
                 else begin
                   Printf.eprintf
                     "MISMATCH for %s\n  server: %s\n  store:  %s\n" name
-                    (Fleet.Json.to_string got)
-                    (Fleet.Json.to_string expected);
+                    (Json.to_string got)
+                    (Json.to_string expected);
                   1
                 end)
     with
@@ -1722,7 +1722,7 @@ let client_cmd =
     | Sys_error msg | Failure msg ->
         Printf.eprintf "error: %s\n" msg;
         1
-    | Fleet.Json.Parse_error msg | Serve.Http.Error (_, msg) ->
+    | Json.Parse_error msg | Serve.Http.Error (_, msg) ->
         Printf.eprintf "error: %s\n" msg;
         1
   in
@@ -1847,7 +1847,7 @@ let loadgen_cmd =
         }
       in
       let report = Loadgen.run cfg in
-      let j = Fleet.Json.to_string (Loadgen.to_json cfg report) in
+      let j = Json.to_string (Loadgen.to_json cfg report) in
       print_endline j;
       (match json_path with
       | None -> ()

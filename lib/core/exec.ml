@@ -1,23 +1,16 @@
 (* The instrumented VEX executor: the analogue of running the client
-   binary under Valgrind with the Herbgrind tool loaded. Client semantics
-   are shared with the fast interpreter through [Vex.Eval]; this module
-   adds the three shadow executions of paper section 4 (reals, influences,
-   expressions), the spot bookkeeping, libm wrapping, bit-trick
-   recognition, compensation detection, and the type-inference fast
-   paths.
-
-   The executor runs pre-decoded superblocks ([Vex.Compile]): statement
-   ids, source locations, jump targets, fast-path/off-slice/full dispatch
-   and the lazy-trace reachability verdict are all resolved once per
-   program (and cached process-wide), so the per-statement loop is an
-   array walk over decoded operations. Per-block temporaries and their
-   shadow slots live in arenas allocated once at [create] and bulk-reset
-   on block entry. Concrete trace nodes are materialized only when the
+   binary under Valgrind with the Herbgrind tool loaded. It is the full
+   engine's shadow domain over [Vex.Shadow_exec]: a float's shadow
+   carries the three shadow executions of paper section 4 (reals,
+   influences, expressions), and this module adds the spot and op
+   bookkeeping, libm wrapping, bit-trick results, and compensation
+   detection. Concrete trace nodes are materialized only when the
    compiled program can reach a trace consumer; otherwise every creation
    site keeps the logical node count with [Trace.phantom]. *)
 
 module B = Bignum.Bigfloat
 module IntSet = Shadow.IntSet
+module SE = Vex.Shadow_exec
 
 type op_info = {
   o_id : int;
@@ -53,146 +46,34 @@ type stats = {
   mutable compensations : int;
 }
 
-(* per-block scratch, allocated once at [create] and reused on every
-   execution of the block (the stepping loop runs one block at a time,
-   so reuse cannot race) *)
-type frame = {
-  temps : Vex.Value.t array;
-  tshadow : Shadow.slot array;
-}
-
-type state = {
-  prog : Vex.Ir.prog;
+(* what one run records; the executor owns everything else *)
+type t = {
   cfg : Config.t;
-  compiled : Vex.Compile.t;
   (* the lazy-trace materialization verdict for this run: expressions are
      enabled and the compiled program contains a trace consumer *)
   traces : bool;
-  mem : Bytes.t;
-  (* exclusive upper bound of client memory traffic this run; the
-     scratch pool re-zeroes only [0, mem_hw) on reuse *)
-  mutable mem_hw : int;
-  thread : Bytes.t;
-  (* shadow storage: byte offset -> (slot, byte size) *)
-  mem_shadow : Shadow.t Vex.Shadowtbl.t;
-  thread_shadow : Shadow.t Vex.Shadowtbl.t;
   ops : (int, op_info) Hashtbl.t;
   spots : (int, spot_info) Hashtbl.t;
-  inputs : float array;  (* values returned by the __arg builtin *)
-  mutable outputs : Vex.Machine.output list;
-  stats : stats;
-  max_steps : int;
-  frames : frame array;  (* per-block scratch, reused across executions *)
-  temp_inits : Vex.Value.t array array;  (* pristine temps per block *)
-  (* deadline hook, called by the executor itself every [tick_stride]
-     raw statements rather than by the driver per superblock *)
-  tick : (unit -> unit) option;
-  mutable stmts_since_tick : int;
+  mutable fp_ops : int;
+  mutable compensations : int;
 }
 
-exception Client_error of string
-
-(* A per-domain pool of one client-memory buffer: a fresh zeroed 1 MiB
-   [Bytes.make] per execution is measurable across a suite run, so
-   [run] parks its buffer here and [create] re-zeroes only the prefix
-   the previous run touched ([mem_hw] bounds every load and store) —
-   reads above the watermark still see the zeros machine semantics
-   promise. *)
-let scratch_pool : (Bytes.t * int) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let acquire_mem mem_size : Bytes.t =
-  let pool = Domain.DLS.get scratch_pool in
-  match !pool with
-  | Some (b, hw) when Bytes.length b = mem_size ->
-      pool := None;
-      Bytes.fill b 0 (min hw mem_size) '\000';
-      b
-  | _ -> Bytes.make mem_size '\000'
-
-let release_mem (mem : Bytes.t) (mem_hw : int) : unit =
-  let pool = Domain.DLS.get scratch_pool in
-  pool := Some (mem, mem_hw)
-
-(* raw statements between wall-clock checks; small enough that a
-   deadline overshoots by microseconds, large enough that the check is
-   invisible in the profile *)
-let tick_stride = 1024
-
-let create ?(mem_size = Vex.Machine.default_mem_size) ?(max_steps = max_int)
-    ?(inputs = [||]) ?restrict ?tick (cfg : Config.t) prog =
-  let restrict =
-    match restrict with
-    | None -> None
-    | Some f ->
-        Some
-          (Array.mapi
-             (fun bi (b : Vex.Ir.block) ->
-               Array.init (Array.length b.Vex.Ir.stmts) (fun si ->
-                   f (Vex.Ir.stmt_id ~block:bi ~stmt:si)))
-             prog.Vex.Ir.blocks)
-  in
-  let compiled =
-    Vex.Compile.get ~type_inference:cfg.Config.type_inference ?restrict prog
-  in
-  {
-    prog;
-    cfg;
-    compiled;
-    traces =
-      cfg.Config.enable_expressions
-      && compiled.Vex.Compile.c_traces_reachable;
-    mem = acquire_mem mem_size;
-    mem_hw = 0;
-    thread = Bytes.make Vex.Machine.default_thread_size '\000';
-    mem_shadow = Vex.Shadowtbl.create 1024;
-    thread_shadow = Vex.Shadowtbl.create 64;
-    ops = Hashtbl.create 256;
-    spots = Hashtbl.create 64;
-    inputs;
-    outputs = [];
-    stats =
-      {
-        blocks_run = 0;
-        stmts_run = 0;
-        stmts_executed = 0;
-        stmts_instrumented = 0;
-        fp_ops = 0;
-        compensations = 0;
-      };
-    max_steps;
-    frames =
-      Array.map
-        (fun (b : Vex.Ir.block) ->
-          {
-            temps = Array.map Vex.Machine.init_value b.Vex.Ir.temp_tys;
-            tshadow = Array.make (Array.length b.Vex.Ir.temp_tys) Shadow.SNone;
-          })
-        prog.Vex.Ir.blocks;
-    temp_inits =
-      Array.map
-        (fun (b : Vex.Ir.block) ->
-          Array.map Vex.Machine.init_value b.Vex.Ir.temp_tys)
-        prog.Vex.Ir.blocks;
-    tick;
-    (* start at the stride so the first block entry checks the deadline
-       immediately: a caller with an already-expired budget must not get
-       a whole stride of free work *)
-    stmts_since_tick = tick_stride;
-  }
+(* a comparison's shadow detail is the union of its operands' influences *)
+type slot = (Shadow.t, IntSet.t) SE.slot
 
 (* ---------- spot and op tables ---------- *)
 
-let op_entry st id loc name =
-  match Hashtbl.find_opt st.ops id with
+let op_entry d (c : SE.site) name =
+  let id = c.Vex.Compile.cs_id in
+  match Hashtbl.find_opt d.ops id with
   | Some o -> o
   | None ->
       let o =
         {
           o_id = id;
-          o_loc = loc;
+          o_loc = c.Vex.Compile.cs_loc;
           o_name = name;
-          o_agg = Antiunify.create ~equiv_depth:st.cfg.Config.equiv_depth;
+          o_agg = Antiunify.create ~equiv_depth:d.cfg.Config.equiv_depth;
           o_count = 0;
           o_local_err_sum = 0.0;
           o_local_err_max = 0.0;
@@ -200,17 +81,18 @@ let op_entry st id loc name =
           o_out_err_max = 0.0;
         }
       in
-      Hashtbl.replace st.ops id o;
+      Hashtbl.replace d.ops id o;
       o
 
-let spot_entry st id loc kind =
-  match Hashtbl.find_opt st.spots id with
+let spot_entry d (c : SE.site) kind =
+  let id = c.Vex.Compile.cs_id in
+  match Hashtbl.find_opt d.spots id with
   | Some s -> s
   | None ->
       let s =
         {
           s_id = id;
-          s_loc = loc;
+          s_loc = c.Vex.Compile.cs_loc;
           s_kind = kind;
           s_total = 0;
           s_incorrect = 0;
@@ -219,23 +101,22 @@ let spot_entry st id loc kind =
           s_infl = IntSet.empty;
         }
       in
-      Hashtbl.replace st.spots id s;
+      Hashtbl.replace d.spots id s;
       s
 
-(* ---------- shadow storage ----------
-
-   the aliasing discipline (4-byte-granularity entries, overlapping
-   writes kill old shadows) lives in [Vex.Shadowtbl], shared with the
-   sanitizer's double-double shadows *)
-
-let clear_shadow_range = Vex.Shadowtbl.clear_range
-let write_shadow = Vex.Shadowtbl.write
-let read_shadow = Vex.Shadowtbl.read
+(* a divergence at a branch or conversion spot *)
+let record_spot d c kind ~(agree : bool) (infl : IntSet.t) =
+  let sp = spot_entry d c kind in
+  sp.s_total <- sp.s_total + 1;
+  if not agree then begin
+    sp.s_incorrect <- sp.s_incorrect + 1;
+    if d.cfg.Config.enable_influences then sp.s_infl <- IntSet.union sp.s_infl infl
+  end
 
 (* ---------- error metrics ---------- *)
 
-let out_error st (client : float) (real : B.t) ~single =
-  if not st.cfg.Config.enable_reals then 0.0
+let out_error d (client : float) (real : B.t) ~single =
+  if not d.cfg.Config.enable_reals then 0.0
   else begin
     let rf = B.to_float real in
     if single then Ieee.Single.bits_of_error client (Ieee.Single.of_double rf)
@@ -249,18 +130,18 @@ let out_error st (client : float) (real : B.t) ~single =
    compensation detection (5.4), the concrete trace node, and folds the
    trace into the op's aggregation (6.3). *)
 
-let arg_shadow st ~single (v : float) (sl : Shadow.slot) : Shadow.t =
+let arg_shadow d ~single (v : float) (sl : slot) : Shadow.t =
   match sl with
-  | Shadow.SVal s -> s
-  | Shadow.SNone | Shadow.SBool _ | Shadow.SVec _ ->
-      Shadow.fresh_leaf ~single ~traces:st.traces v
+  | SE.SVal s -> s
+  | SE.SNone | SE.SBool _ | SE.SVec _ ->
+      Shadow.fresh_leaf ~single ~traces:d.traces v
 
-let do_op st ~stmt_id ~loc ~name ~single ~(client : float)
+let do_op d c ~name ~single ~(client : float)
     ~(client_fn : float array -> float) ~(real_fn : B.t array -> B.t)
-    (args : (float * Shadow.slot) array) : Shadow.slot =
-  st.stats.fp_ops <- st.stats.fp_ops + 1;
-  let cfg = st.cfg in
-  let shadows = Array.map (fun (v, sl) -> arg_shadow st ~single v sl) args in
+    (args : (float * slot) array) : Shadow.t =
+  d.fp_ops <- d.fp_ops + 1;
+  let cfg = d.cfg in
+  let shadows = Array.map (fun (v, sl) -> arg_shadow d ~single v sl) args in
   let real =
     if cfg.Config.enable_reals then
       real_fn (Array.map (fun s -> s.Shadow.real) shadows)
@@ -277,7 +158,7 @@ let do_op st ~stmt_id ~loc ~name ~single ~(client : float)
       in
       let rounded_args = Array.map (fun s -> round s.Shadow.real) shadows in
       let r_f = client_fn rounded_args in
-      let r_r = round (if cfg.Config.enable_reals then real else B.of_float client) in
+      let r_r = round real in
       if single then Ieee.Single.bits_of_error r_f r_r
       else Ieee.bits_of_error r_f r_r
     end
@@ -305,9 +186,9 @@ let do_op st ~stmt_id ~loc ~name ~single ~(client : float)
             let s = shadows.(i) in
             if B.equal real s.Shadow.real then begin
               let arg_err =
-                out_error st (Shadow.client_value s) s.Shadow.real ~single
+                out_error d (Shadow.client_value s) s.Shadow.real ~single
               in
-              let out_err = out_error st client real ~single in
+              let out_err = out_error d client real ~single in
               if out_err < arg_err then Some s else None
             end
             else None
@@ -323,13 +204,13 @@ let do_op st ~stmt_id ~loc ~name ~single ~(client : float)
              been repaired, so improving the tainting operation can no
              longer reduce output error. This is what keeps Triangle's 225
              compensated computations out of the report (section 7). *)
-          st.stats.compensations <- st.stats.compensations + 1;
-          if out_error st client real ~single <= cfg.Config.error_threshold
+          d.compensations <- d.compensations + 1;
+          if out_error d client real ~single <= cfg.Config.error_threshold
           then IntSet.empty
           else passthrough.Shadow.infl
       | None ->
           if local_err > cfg.Config.error_threshold then
-            IntSet.add stmt_id union_all
+            IntSet.add c.Vex.Compile.cs_id union_all
           else union_all
     end
   in
@@ -351,749 +232,155 @@ let do_op st ~stmt_id ~loc ~name ~single ~(client : float)
   in
   (* aggregate *)
   if cfg.Config.enable_expressions then begin
-    let o = op_entry st stmt_id loc name in
+    let o = op_entry d c name in
     (match trace with Some tr -> Antiunify.add o.o_agg tr | None -> ());
     o.o_count <- o.o_count + 1;
     o.o_local_err_sum <- o.o_local_err_sum +. local_err;
     if local_err > o.o_local_err_max then o.o_local_err_max <- local_err;
-    let oe = out_error st client real ~single in
+    let oe = out_error d client real ~single in
     o.o_out_err_sum <- o.o_out_err_sum +. oe;
     if oe > o.o_out_err_max then o.o_out_err_max <- oe
   end
   else if cfg.Config.enable_reals then begin
     (* still track error statistics even without expressions *)
-    let o = op_entry st stmt_id loc name in
+    let o = op_entry d c name in
     o.o_count <- o.o_count + 1;
     o.o_local_err_sum <- o.o_local_err_sum +. local_err;
     if local_err > o.o_local_err_max then o.o_local_err_max <- local_err
   end;
-  Shadow.SVal { Shadow.real; value = client; trace; infl; single }
+  { Shadow.real; value = client; trace; infl; single }
 
-(* comparison of two shadowed floats in the reals *)
-let do_cmp st ~(client : bool) (cmp : B.t -> B.t -> bool)
-    (args : (float * Shadow.slot) array) : Shadow.slot =
-  if not st.cfg.Config.enable_reals then Shadow.SNone
-  else begin
-    let shadows =
-      Array.map (fun (v, sl) -> arg_shadow st ~single:false v sl) args
+(* ---------- the full engine's shadow domain ---------- *)
+
+module Dom = struct
+  type v = Shadow.t
+  type b = IntSet.t
+  type nonrec t = t
+
+  let prec d = d.cfg.Config.precision
+
+  let arith d c (op : SE.arith) ~single ~client a ash b bsh =
+    let p = prec d in
+    let name, client_fn, real_fn =
+      match op with
+      | SE.Add -> ("+", (if single then Ieee.Single.add else ( +. )), B.add ~prec:p)
+      | SE.Sub -> ("-", (if single then Ieee.Single.sub else ( -. )), B.sub ~prec:p)
+      | SE.Mul -> ("*", (if single then Ieee.Single.mul else ( *. )), B.mul ~prec:p)
+      | SE.Div -> ("/", (if single then Ieee.Single.div else ( /. )), B.div ~prec:p)
+      | SE.Min -> ("fmin", Float.min, B.min2)
+      | SE.Max -> ("fmax", Float.max, B.max2)
     in
-    let shadow_b = cmp shadows.(0).Shadow.real shadows.(1).Shadow.real in
-    let binfl =
-      if st.cfg.Config.enable_influences then
-        IntSet.union shadows.(0).Shadow.infl shadows.(1).Shadow.infl
-      else IntSet.empty
-    in
-    Shadow.SBool { Shadow.client_b = client; shadow_b; binfl }
-  end
+    do_op d c ~name ~single ~client
+      ~client_fn:(fun x -> client_fn x.(0) x.(1))
+      ~real_fn:(fun x -> real_fn x.(0) x.(1))
+      [| (a, ash); (b, bsh) |]
 
-(* ---------- per-statement interpretation ---------- *)
+  let sqrt d c ~single ~client a ash =
+    do_op d c ~name:"sqrt" ~single ~client
+      ~client_fn:(fun x -> if single then Ieee.Single.sqrt x.(0) else Float.sqrt x.(0))
+      ~real_fn:(fun x -> B.sqrt ~prec:(prec d) x.(0))
+      [| (a, ash) |]
 
-let prec st = st.cfg.Config.precision
+  let libm d c name ~client fargs slots =
+    do_op d c ~name ~single:false ~client
+      ~client_fn:(Vex.Eval.libm_apply name)
+      ~real_fn:(Vex.Eval.libm_apply_real ~prec:(prec d) name)
+      (Array.map2 (fun v sl -> (v, sl)) fargs slots)
 
-let check_mem st addr size =
-  if addr < 0 || addr + size > Bytes.length st.mem then
-    raise (Client_error (Printf.sprintf "memory access out of bounds: %d" addr))
-  else if addr + size > st.mem_hw then st.mem_hw <- addr + size
-
-(* evaluate an expression returning both the client value and its shadow *)
-let rec eval st fr ~loc ~stmt_id (e : Vex.Ir.expr) : Vex.Value.t * Shadow.slot =
-  match e with
-  | Vex.Ir.RdTmp t -> (fr.temps.(t), fr.tshadow.(t))
-  | Vex.Ir.Const c -> (Vex.Value.of_const c, Shadow.SNone)
-  | Vex.Ir.LabelAddr l ->
-      (* compiled expressions pre-resolve labels; kept for raw input *)
-      (Vex.Value.VI64 (Int64.of_int (Vex.Ir.block_index st.prog l)), Shadow.SNone)
-  | Vex.Ir.Get (off, ty) ->
-      let v = Vex.Value.read_bytes st.thread off ty in
-      let sh = load_shadow st st.thread_shadow off ty in
-      (v, sh)
-  | Vex.Ir.Load (ty, a) ->
-      let av, _ = eval st fr ~loc ~stmt_id a in
-      let addr = Int64.to_int (Vex.Value.as_i64 av) in
-      check_mem st addr (Vex.Ir.ty_size ty);
-      let v = Vex.Value.read_bytes st.mem addr ty in
-      let sh = load_shadow st st.mem_shadow addr ty in
-      (v, sh)
-  | Vex.Ir.Unop (op, a) ->
-      let av, ash = eval st fr ~loc ~stmt_id a in
-      let v = Vex.Eval.eval_unop op av in
-      (v, shadow_unop st ~loc ~stmt_id op av ash v)
-  | Vex.Ir.Binop (op, a, b) ->
-      let av, ash = eval st fr ~loc ~stmt_id a in
-      let bv, bsh = eval st fr ~loc ~stmt_id b in
-      let v = Vex.Eval.eval_binop op av bv in
-      (v, shadow_binop st ~loc ~stmt_id op (av, ash) (bv, bsh) v)
-  | Vex.Ir.ITE (g, t, e2) ->
-      let gv, gsh = eval st fr ~loc ~stmt_id g in
-      let taken = Vex.Value.as_bool gv in
-      (* an ITE guarded by a float comparison is a branch spot *)
-      (match gsh with
-      | Shadow.SBool sb -> record_branch st ~loc ~stmt_id sb
-      | Shadow.SNone | Shadow.SVal _ | Shadow.SVec _ -> ());
-      if taken then eval st fr ~loc ~stmt_id t else eval st fr ~loc ~stmt_id e2
-
-and load_shadow _st tbl off (ty : Vex.Ir.ty) : Shadow.slot =
-  match ty with
-  | Vex.Ir.F64 | Vex.Ir.I64 -> begin
-      match read_shadow tbl off 8 with
-      | Some s -> Shadow.SVal s
-      | None -> Shadow.SNone
-    end
-  | Vex.Ir.F32 | Vex.Ir.I32 -> begin
-      match read_shadow tbl off 4 with
-      | Some s -> Shadow.SVal s
-      | None -> Shadow.SNone
-    end
-  | Vex.Ir.V128 -> begin
-      match (read_shadow tbl off 8, read_shadow tbl (off + 8) 8) with
-      | None, None -> begin
-          (* maybe four single lanes *)
-          let lanes =
-            Array.init 4 (fun i ->
-                match read_shadow tbl (off + (4 * i)) 4 with
-                | Some s -> Shadow.SVal s
-                | None -> Shadow.SNone)
-          in
-          if Array.exists (fun s -> s <> Shadow.SNone) lanes then
-            Shadow.SVec lanes
-          else Shadow.SNone
-        end
-      | lo, hi ->
-          Shadow.SVec
-            [|
-              (match lo with Some s -> Shadow.SVal s | None -> Shadow.SNone);
-              (match hi with Some s -> Shadow.SVal s | None -> Shadow.SNone);
-            |]
-    end
-  | Vex.Ir.I1 | Vex.Ir.I8 | Vex.Ir.I16 -> Shadow.SNone
-
-and store_shadow _st tbl off (v : Vex.Value.t) (sh : Shadow.slot) =
-  match (v, sh) with
-  | Vex.Value.VV128 _, Shadow.SVec lanes ->
-      if Array.length lanes = 2 then begin
-        let put i sl =
-          write_shadow tbl (off + (8 * i)) 8
-            (match sl with Shadow.SVal s -> Some s | _ -> None)
-        in
-        Array.iteri put lanes
-      end
-      else begin
-        let put i sl =
-          write_shadow tbl (off + (4 * i)) 4
-            (match sl with Shadow.SVal s -> Some s | _ -> None)
-        in
-        Array.iteri put lanes
-      end
-  | Vex.Value.VV128 _, _ -> clear_shadow_range tbl off 16
-  | v, Shadow.SVal s ->
-      let size =
-        match Vex.Value.ty_of v with
-        | Vex.Ir.F32 | Vex.Ir.I32 -> 4
-        | _ -> 8
-      in
-      write_shadow tbl off size (Some s)
-  | v, _ ->
-      clear_shadow_range tbl off (Vex.Ir.ty_size (Vex.Value.ty_of v))
-
-and record_branch st ~loc ~stmt_id (sb : Shadow.sbool) =
-  let sp = spot_entry st stmt_id loc Spot_branch in
-  sp.s_total <- sp.s_total + 1;
-  if sb.Shadow.client_b <> sb.Shadow.shadow_b then begin
-    sp.s_incorrect <- sp.s_incorrect + 1;
-    if st.cfg.Config.enable_influences then
-      sp.s_infl <- IntSet.union sp.s_infl sb.Shadow.binfl
-  end
-
-and record_conversion st ~loc ~stmt_id ~(agree : bool) (infl : IntSet.t) =
-  let sp = spot_entry st stmt_id loc Spot_convert in
-  sp.s_total <- sp.s_total + 1;
-  if not agree then begin
-    sp.s_incorrect <- sp.s_incorrect + 1;
-    if st.cfg.Config.enable_influences then
-      sp.s_infl <- IntSet.union sp.s_infl infl
-  end
-
-and shadow_unop st ~loc ~stmt_id (op : Vex.Ir.unop) (av : Vex.Value.t)
-    (ash : Shadow.slot) (result : Vex.Value.t) : Shadow.slot =
-  let p = prec st in
-  match op with
-  (* float compute ops *)
-  | Vex.Ir.SqrtF64 ->
-      do_op st ~stmt_id ~loc ~name:"sqrt" ~single:false
-        ~client:(Vex.Value.as_f64 result)
-        ~client_fn:(fun a -> Float.sqrt a.(0))
-        ~real_fn:(fun a -> B.sqrt ~prec:p a.(0))
-        [| (Vex.Value.as_f64 av, ash) |]
-  | Vex.Ir.SqrtF32 ->
-      do_op st ~stmt_id ~loc ~name:"sqrt" ~single:true
-        ~client:(Vex.Value.as_f32 result)
-        ~client_fn:(fun a -> Ieee.Single.sqrt a.(0))
-        ~real_fn:(fun a -> B.sqrt ~prec:p a.(0))
-        [| (Vex.Value.as_f32 av, ash) |]
-  | Vex.Ir.NegF64 | Vex.Ir.NegF32 -> begin
-      match ash with
-      | Shadow.SVal s ->
-          let real = B.neg s.Shadow.real in
-          if st.cfg.Config.enable_expressions then begin
-            let client =
-              match result with
-              | Vex.Value.VF64 f | Vex.Value.VF32 f -> f
-              | _ -> 0.0
-            in
-            let trace =
-              Some
-                (Trace.node ~max_depth:st.cfg.Config.max_trace_depth
-                   ~key:(B.hash real) "neg"
-                   [| Shadow.trace_of s |]
-                   client)
-            in
-            Shadow.SVal { s with Shadow.real; value = client; trace }
-          end
-          else
-            (* passthrough: the trace — and the value the eager trace
-               node carried — ride along unchanged *)
-            Shadow.SVal { s with Shadow.real }
-      | _ -> Shadow.SNone
-    end
-  | Vex.Ir.AbsF64 | Vex.Ir.AbsF32 -> begin
-      match ash with
-      | Shadow.SVal s ->
-          let real = B.abs s.Shadow.real in
-          if st.cfg.Config.enable_expressions then begin
-            let client =
-              match result with
-              | Vex.Value.VF64 f | Vex.Value.VF32 f -> f
-              | _ -> 0.0
-            in
-            let trace =
-              Some
-                (Trace.node ~max_depth:st.cfg.Config.max_trace_depth
-                   ~key:(B.hash real) "fabs"
-                   [| Shadow.trace_of s |]
-                   client)
-            in
-            Shadow.SVal { s with Shadow.real; value = client; trace }
-          end
-          else Shadow.SVal { s with Shadow.real }
-      | _ -> Shadow.SNone
-    end
-  (* precision conversions: same value, new grid; no trace node (6.1) *)
-  | Vex.Ir.F32toF64 -> begin
-      match ash with
-      | Shadow.SVal s -> Shadow.SVal { s with Shadow.single = false }
-      | _ -> Shadow.SNone
-    end
-  | Vex.Ir.F64toF32 -> begin
-      match ash with
-      | Shadow.SVal s -> Shadow.SVal { s with Shadow.single = true }
-      | _ -> Shadow.SNone
-    end
-  (* int -> float: exact provenance *)
-  | Vex.Ir.I64toF64 ->
-      let i = Vex.Value.as_i64 av in
-      let real = B.of_bigint (Bignum.Bigint.of_int (Int64.to_int i)) in
-      let client = Vex.Value.as_f64 result in
+  (* negation and fabs are exact: a new real, and a trace node when
+     expressions are on; otherwise the trace — and the value the eager
+     trace node carried — ride along unchanged *)
+  let sign d name f ~client (s : Shadow.t) : Shadow.t =
+    let real = f s.Shadow.real in
+    if d.cfg.Config.enable_expressions then
       let trace =
-        if st.traces then Some (Trace.leaf ~key:(B.hash real) client)
-        else begin
-          Trace.phantom ();
-          None
-        end
+        Some
+          (Trace.node ~max_depth:d.cfg.Config.max_trace_depth
+             ~key:(B.hash real) name [| Shadow.trace_of s |] client)
       in
-      Shadow.SVal
-        {
-          Shadow.real;
-          value = client;
-          trace;
-          infl = IntSet.empty;
-          single = false;
-        }
-  | Vex.Ir.I64toF32 ->
-      let i = Vex.Value.as_i64 av in
-      let real = B.of_bigint (Bignum.Bigint.of_int (Int64.to_int i)) in
-      let client = Vex.Value.as_f32 result in
-      let trace =
-        if st.traces then Some (Trace.leaf ~key:(B.hash real) client)
-        else begin
-          Trace.phantom ();
-          None
-        end
-      in
-      Shadow.SVal
-        {
-          Shadow.real;
-          value = client;
-          trace;
-          infl = IntSet.empty;
-          single = true;
-        }
-  (* float -> int: a conversion spot *)
-  | Vex.Ir.F64toI64tz | Vex.Ir.F32toI64tz | Vex.Ir.F64toI64rn -> begin
-      (match ash with
-      | Shadow.SVal s when st.cfg.Config.enable_reals ->
-          let shadow_int =
-            let r =
-              match op with
-              | Vex.Ir.F64toI64rn -> B.round_to_int s.Shadow.real
-              | _ -> B.trunc s.Shadow.real
-            in
-            match B.to_bigint r with
-            | Some bi -> Bignum.Bigint.to_int_opt bi
-            | None -> None
-          in
-          let client_int = Int64.to_int (Vex.Value.as_i64 result) in
-          let agree =
-            match shadow_int with Some i -> i = client_int | None -> false
-          in
-          record_conversion st ~loc ~stmt_id ~agree s.Shadow.infl
-      | _ -> ());
-      Shadow.SNone
-    end
-  (* bit reinterpretation: the shadow rides along *)
-  | Vex.Ir.ReinterpF64asI64 | Vex.Ir.ReinterpI64asF64 | Vex.Ir.ReinterpF32asI32
-  | Vex.Ir.ReinterpI32asF32 ->
-      ash
-  (* vector lane extraction *)
-  | Vex.Ir.V128to64 -> begin
-      match ash with
-      | Shadow.SVec lanes when Array.length lanes = 2 -> lanes.(0)
-      | _ -> Shadow.SNone
-    end
-  | Vex.Ir.V128HIto64 -> begin
-      match ash with
-      | Shadow.SVec lanes when Array.length lanes = 2 -> lanes.(1)
-      | _ -> Shadow.SNone
-    end
-  | Vex.Ir.Sqrt64Fx2 -> begin
-      let a0, a1 = Vex.Value.v128_f64_lanes (Vex.Value.as_v128 av) in
-      let r0, r1 = Vex.Value.v128_f64_lanes (Vex.Value.as_v128 result) in
-      let lane_shadow i arg_v res_v =
-        let arg_sl =
-          match ash with
-          | Shadow.SVec lanes when Array.length lanes = 2 -> lanes.(i)
-          | _ -> Shadow.SNone
-        in
-        do_op st ~stmt_id ~loc ~name:"sqrt" ~single:false ~client:res_v
-          ~client_fn:(fun a -> Float.sqrt a.(0))
-          ~real_fn:(fun a -> B.sqrt ~prec:p a.(0))
-          [| (arg_v, arg_sl) |]
-      in
-      Shadow.SVec [| lane_shadow 0 a0 r0; lane_shadow 1 a1 r1 |]
-    end
-  (* pure integer ops: no shadow *)
-  | Vex.Ir.Not1 | Vex.Ir.Neg64 | Vex.Ir.Not64 | Vex.Ir.I32toI64s
-  | Vex.Ir.I32toI64u | Vex.Ir.I64toI32 ->
-      (* Not1 must preserve comparison shadows so negated guards track *)
-      (match (op, ash) with
-      | Vex.Ir.Not1, Shadow.SBool sb ->
-          Shadow.SBool
-            {
-              sb with
-              Shadow.client_b = not sb.Shadow.client_b;
-              shadow_b = not sb.Shadow.shadow_b;
-            }
-      | _ -> Shadow.SNone)
+      { s with Shadow.real; value = client; trace }
+    else { s with Shadow.real }
 
-and shadow_binop st ~loc ~stmt_id (op : Vex.Ir.binop) (a : Vex.Value.t * Shadow.slot)
-    (b : Vex.Value.t * Shadow.slot) (result : Vex.Value.t) : Shadow.slot =
-  let p = prec st in
-  let av, ash = a and bv, bsh = b in
-  let f64_op name client_fn real_fn =
-    do_op st ~stmt_id ~loc ~name ~single:false
-      ~client:(Vex.Value.as_f64 result) ~client_fn ~real_fn
-      [| (Vex.Value.as_f64 av, ash); (Vex.Value.as_f64 bv, bsh) |]
-  in
-  let f32_op name client_fn real_fn =
-    do_op st ~stmt_id ~loc ~name ~single:true
-      ~client:(Vex.Value.as_f32 result) ~client_fn ~real_fn
-      [| (Vex.Value.as_f32 av, ash); (Vex.Value.as_f32 bv, bsh) |]
-  in
-  match op with
-  | Vex.Ir.AddF64 ->
-      f64_op "+" (fun x -> x.(0) +. x.(1)) (fun x -> B.add ~prec:p x.(0) x.(1))
-  | Vex.Ir.SubF64 ->
-      f64_op "-" (fun x -> x.(0) -. x.(1)) (fun x -> B.sub ~prec:p x.(0) x.(1))
-  | Vex.Ir.MulF64 ->
-      f64_op "*" (fun x -> x.(0) *. x.(1)) (fun x -> B.mul ~prec:p x.(0) x.(1))
-  | Vex.Ir.DivF64 ->
-      f64_op "/" (fun x -> x.(0) /. x.(1)) (fun x -> B.div ~prec:p x.(0) x.(1))
-  | Vex.Ir.MinF64 ->
-      f64_op "fmin" (fun x -> Float.min x.(0) x.(1)) (fun x -> B.min2 x.(0) x.(1))
-  | Vex.Ir.MaxF64 ->
-      f64_op "fmax" (fun x -> Float.max x.(0) x.(1)) (fun x -> B.max2 x.(0) x.(1))
-  | Vex.Ir.AddF32 ->
-      f32_op "+"
-        (fun x -> Ieee.Single.add x.(0) x.(1))
-        (fun x -> B.add ~prec:p x.(0) x.(1))
-  | Vex.Ir.SubF32 ->
-      f32_op "-"
-        (fun x -> Ieee.Single.sub x.(0) x.(1))
-        (fun x -> B.sub ~prec:p x.(0) x.(1))
-  | Vex.Ir.MulF32 ->
-      f32_op "*"
-        (fun x -> Ieee.Single.mul x.(0) x.(1))
-        (fun x -> B.mul ~prec:p x.(0) x.(1))
-  | Vex.Ir.DivF32 ->
-      f32_op "/"
-        (fun x -> Ieee.Single.div x.(0) x.(1))
-        (fun x -> B.div ~prec:p x.(0) x.(1))
-  | Vex.Ir.CmpEQF64 | Vex.Ir.CmpEQF32 ->
-      do_cmp st ~client:(Vex.Value.as_bool result) B.equal
-        [| (float_of_value av, ash); (float_of_value bv, bsh) |]
-  | Vex.Ir.CmpNEF64 ->
-      do_cmp st ~client:(Vex.Value.as_bool result)
-        (fun x y -> not (B.equal x y))
-        [| (float_of_value av, ash); (float_of_value bv, bsh) |]
-  | Vex.Ir.CmpLTF64 | Vex.Ir.CmpLTF32 ->
-      do_cmp st ~client:(Vex.Value.as_bool result) B.lt
-        [| (float_of_value av, ash); (float_of_value bv, bsh) |]
-  | Vex.Ir.CmpLEF64 | Vex.Ir.CmpLEF32 ->
-      do_cmp st ~client:(Vex.Value.as_bool result) B.le
-        [| (float_of_value av, ash); (float_of_value bv, bsh) |]
-  (* gcc bit tricks: XOR with the sign mask is negation, AND with the abs
-     mask is fabs (paper 5.4) *)
-  | Vex.Ir.Xor64 -> begin
-      match (ash, bsh, av, bv) with
-      | Shadow.SVal s, Shadow.SNone, _, Vex.Value.VI64 m
-        when Int64.equal m Ieee.Bits.sign_flip_mask64 ->
-          bit_trick_neg st s result
-      | Shadow.SNone, Shadow.SVal s, Vex.Value.VI64 m, _
-        when Int64.equal m Ieee.Bits.sign_flip_mask64 ->
-          bit_trick_neg st s result
-      | _ -> Shadow.SNone
-    end
-  | Vex.Ir.And64 -> begin
-      match (ash, bsh, av, bv) with
-      | Shadow.SVal s, Shadow.SNone, _, Vex.Value.VI64 m
-        when Int64.equal m Ieee.Bits.abs_mask64 ->
-          bit_trick_abs st s result
-      | Shadow.SNone, Shadow.SVal s, Vex.Value.VI64 m, _
-        when Int64.equal m Ieee.Bits.abs_mask64 ->
-          bit_trick_abs st s result
-      | _ -> Shadow.SNone
-    end
-  (* SIMD packed float ops: one shadow op per lane, same pc *)
-  | Vex.Ir.Add64Fx2 -> simd2 st ~loc ~stmt_id "+" ( +. )
-        (fun x y -> B.add ~prec:p x y) (av, ash) (bv, bsh) result
-  | Vex.Ir.Sub64Fx2 -> simd2 st ~loc ~stmt_id "-" ( -. )
-        (fun x y -> B.sub ~prec:p x y) (av, ash) (bv, bsh) result
-  | Vex.Ir.Mul64Fx2 -> simd2 st ~loc ~stmt_id "*" ( *. )
-        (fun x y -> B.mul ~prec:p x y) (av, ash) (bv, bsh) result
-  | Vex.Ir.Div64Fx2 -> simd2 st ~loc ~stmt_id "/" ( /. )
-        (fun x y -> B.div ~prec:p x y) (av, ash) (bv, bsh) result
-  | Vex.Ir.Add32Fx4 -> simd4 st ~loc ~stmt_id "+" Ieee.Single.add
-        (fun x y -> B.add ~prec:p x y) (av, ash) (bv, bsh) result
-  | Vex.Ir.Sub32Fx4 -> simd4 st ~loc ~stmt_id "-" Ieee.Single.sub
-        (fun x y -> B.sub ~prec:p x y) (av, ash) (bv, bsh) result
-  | Vex.Ir.Mul32Fx4 -> simd4 st ~loc ~stmt_id "*" Ieee.Single.mul
-        (fun x y -> B.mul ~prec:p x y) (av, ash) (bv, bsh) result
-  | Vex.Ir.Div32Fx4 -> simd4 st ~loc ~stmt_id "/" Ieee.Single.div
-        (fun x y -> B.div ~prec:p x y) (av, ash) (bv, bsh) result
-  | Vex.Ir.I64HLtoV128 ->
-      (* Binop(hi, lo): lanes are [lo; hi] *)
-      Shadow.SVec [| bsh; ash |]
-  | Vex.Ir.XorV128 | Vex.Ir.AndV128 | Vex.Ir.OrV128 -> Shadow.SNone
-  (* integer ops carry no shadow *)
-  | Vex.Ir.Add64 | Vex.Ir.Sub64 | Vex.Ir.Mul64 | Vex.Ir.DivS64 | Vex.Ir.ModS64
-  | Vex.Ir.Or64 | Vex.Ir.Shl64 | Vex.Ir.Shr64 | Vex.Ir.Sar64 | Vex.Ir.CmpEQ64
-  | Vex.Ir.CmpNE64 | Vex.Ir.CmpLT64S | Vex.Ir.CmpLE64S ->
-      Shadow.SNone
+  let neg d ~client s = sign d "neg" B.neg ~client s
+  let abs d ~client s = sign d "fabs" B.abs ~client s
 
-and float_of_value = function
-  | Vex.Value.VF64 f | Vex.Value.VF32 f -> f
-  | v -> Vex.Value.type_error "expected float" v
+  (* same value, new grid; no trace node (6.1) *)
+  let precision ~single (s : Shadow.t) = { s with Shadow.single }
 
-and bit_trick_neg st (s : Shadow.t) (result : Vex.Value.t) : Shadow.slot =
-  let real = B.neg s.Shadow.real in
-  if st.cfg.Config.enable_expressions then begin
-    let client =
-      match result with
-      | Vex.Value.VI64 bits -> Int64.float_of_bits bits
-      | Vex.Value.VF64 f -> f
-      | _ -> 0.0
-    in
-    let trace =
-      Some
-        (Trace.node ~max_depth:st.cfg.Config.max_trace_depth ~key:(B.hash real)
-           "neg"
-           [| Shadow.trace_of s |]
-           client)
-    in
-    Shadow.SVal { s with Shadow.real; value = client; trace }
-  end
-  else Shadow.SVal { s with Shadow.real }
-
-and bit_trick_abs st (s : Shadow.t) (result : Vex.Value.t) : Shadow.slot =
-  let real = B.abs s.Shadow.real in
-  if st.cfg.Config.enable_expressions then begin
-    let client =
-      match result with
-      | Vex.Value.VI64 bits -> Int64.float_of_bits bits
-      | Vex.Value.VF64 f -> f
-      | _ -> 0.0
-    in
-    let trace =
-      Some
-        (Trace.node ~max_depth:st.cfg.Config.max_trace_depth ~key:(B.hash real)
-           "fabs"
-           [| Shadow.trace_of s |]
-           client)
-    in
-    Shadow.SVal { s with Shadow.real; value = client; trace }
-  end
-  else Shadow.SVal { s with Shadow.real }
-
-and simd2 st ~loc ~stmt_id name ffn rfn (av, ash) (bv, bsh) result : Shadow.slot =
-  let a0, a1 = Vex.Value.v128_f64_lanes (Vex.Value.as_v128 av) in
-  let b0, b1 = Vex.Value.v128_f64_lanes (Vex.Value.as_v128 bv) in
-  let r0, r1 = Vex.Value.v128_f64_lanes (Vex.Value.as_v128 result) in
-  let lane i a b r =
-    let asl = lane_slot ash 2 i and bsl = lane_slot bsh 2 i in
-    do_op st ~stmt_id ~loc ~name ~single:false ~client:r
-      ~client_fn:(fun x -> ffn x.(0) x.(1))
-      ~real_fn:(fun x -> rfn x.(0) x.(1))
-      [| (a, asl); (b, bsl) |]
-  in
-  Shadow.SVec [| lane 0 a0 b0 r0; lane 1 a1 b1 r1 |]
-
-and simd4 st ~loc ~stmt_id name ffn rfn (av, ash) (bv, bsh) result : Shadow.slot =
-  let a0, a1, a2, a3 = Vex.Value.v128_f32_lanes (Vex.Value.as_v128 av) in
-  let b0, b1, b2, b3 = Vex.Value.v128_f32_lanes (Vex.Value.as_v128 bv) in
-  let r0, r1, r2, r3 = Vex.Value.v128_f32_lanes (Vex.Value.as_v128 result) in
-  let lane i a b r =
-    let asl = lane_slot ash 4 i and bsl = lane_slot bsh 4 i in
-    do_op st ~stmt_id ~loc ~name ~single:true ~client:r
-      ~client_fn:(fun x -> ffn x.(0) x.(1))
-      ~real_fn:(fun x -> rfn x.(0) x.(1))
-      [| (a, asl); (b, bsl) |]
-  in
-  Shadow.SVec
-    [| lane 0 a0 b0 r0; lane 1 a1 b1 r1; lane 2 a2 b2 r2; lane 3 a3 b3 r3 |]
-
-and lane_slot (sl : Shadow.slot) n i : Shadow.slot =
-  match sl with
-  | Shadow.SVec lanes when Array.length lanes = n -> lanes.(i)
-  | _ -> Shadow.SNone
-
-(* ---------- statement and block loop ---------- *)
-
-exception Exit_to of int
-
-let run_block st (bidx : int) : int =
-  let cb = st.compiled.Vex.Compile.cblocks.(bidx) in
-  (* self-ticked deadline: check the wall clock at block granularity,
-     but only once every [tick_stride] executed raw statements *)
-  (match st.tick with
-  | Some tick ->
-      if st.stmts_since_tick >= tick_stride then begin
-        tick ();
-        st.stmts_since_tick <- 0
-      end;
-      st.stmts_since_tick <- st.stmts_since_tick + cb.Vex.Compile.cb_n_raw
-  | None -> ());
-  let fr = st.frames.(bidx) in
-  let nt = Array.length fr.temps in
-  Array.blit st.temp_inits.(bidx) 0 fr.temps 0 nt;
-  Array.fill fr.tshadow 0 nt Shadow.SNone;
-  (* the fast path shares the uninstrumented evaluator through a minimal
-     machine-state view *)
-  let rec fast_eval (e : Vex.Ir.expr) : Vex.Value.t =
-    match e with
-    | Vex.Ir.RdTmp t -> fr.temps.(t)
-    | Vex.Ir.Const c -> Vex.Value.of_const c
-    | Vex.Ir.LabelAddr l ->
-        Vex.Value.VI64 (Int64.of_int (Vex.Ir.block_index st.prog l))
-    | Vex.Ir.Get (off, ty) -> Vex.Value.read_bytes st.thread off ty
-    | Vex.Ir.Load (ty, a) ->
-        let addr = Int64.to_int (Vex.Value.as_i64 (fast_eval a)) in
-        check_mem st addr (Vex.Ir.ty_size ty);
-        Vex.Value.read_bytes st.mem addr ty
-    | Vex.Ir.Unop (op, a) -> Vex.Eval.eval_unop op (fast_eval a)
-    | Vex.Ir.Binop (op, a, b) ->
-        Vex.Eval.eval_binop op (fast_eval a) (fast_eval b)
-    | Vex.Ir.ITE (g, t, e2) ->
-        if Vex.Value.as_bool (fast_eval g) then fast_eval t else fast_eval e2
-  in
-  let stmts = cb.Vex.Compile.cb_stmts in
-  let n = Array.length stmts in
-  let rec go i =
-    if i >= n then begin
-      st.stats.stmts_run <- st.stats.stmts_run + cb.Vex.Compile.cb_tail_w;
-      match cb.Vex.Compile.cb_next with
-      | Vex.Compile.CGoto t -> t
-      | Vex.Compile.CIndirect e -> Int64.to_int (Vex.Value.as_i64 (fast_eval e))
-      | Vex.Compile.CHalt -> -1
-    end
+  let cmp d (k : SE.cmp) ~client a ash b bsh : slot =
+    if not d.cfg.Config.enable_reals then SE.SNone
     else begin
-      let c = stmts.(i) in
-      st.stats.stmts_run <- st.stats.stmts_run + c.Vex.Compile.cs_run_w;
-      st.stats.stmts_executed <- st.stats.stmts_executed + 1;
-      (match c.Vex.Compile.cs_path with
-      (* fast paths allowed by type inference *)
-      | Vex.Compile.PFast -> begin
-          match c.Vex.Compile.cs_op with
-          | Vex.Compile.CWrTmp (t, e) -> fr.temps.(t) <- fast_eval e
-          | Vex.Compile.CExit (g, target) ->
-              if Vex.Value.as_bool (fast_eval g) then raise (Exit_to target)
-          | Vex.Compile.CPut (off, e) ->
-              let v = fast_eval e in
-              clear_shadow_range st.thread_shadow off
-                (Vex.Ir.ty_size (Vex.Value.ty_of v));
-              Vex.Value.write_bytes st.thread off v
-          | Vex.Compile.CStore (a, v) ->
-              let addr = Int64.to_int (Vex.Value.as_i64 (fast_eval a)) in
-              let value = fast_eval v in
-              check_mem st addr (Vex.Ir.ty_size (Vex.Value.ty_of value));
-              clear_shadow_range st.mem_shadow addr
-                (Vex.Ir.ty_size (Vex.Value.ty_of value));
-              Vex.Value.write_bytes st.mem addr value
-          | Vex.Compile.CDirtyArg _ | Vex.Compile.CDirty _
-          | Vex.Compile.COut _ ->
-              assert false (* never classified fast *)
-        end
-      (* tiered pass 2, off the escalated slice: machine semantics only.
-         Temp/thread/memory shadows are cleared rather than written, so
-         an on-slice reader can never observe a stale real here — the
-         slice closure guarantees every producer feeding an on-slice
-         statement is itself on-slice. Outputs are still pushed (client
-         transparency); no spot or op entries are created. *)
-      | Vex.Compile.POff -> begin
-          match c.Vex.Compile.cs_op with
-          | Vex.Compile.CWrTmp (t, e) ->
-              fr.temps.(t) <- fast_eval e;
-              fr.tshadow.(t) <- Shadow.SNone
-          | Vex.Compile.CPut (off, e) ->
-              let v = fast_eval e in
-              clear_shadow_range st.thread_shadow off
-                (Vex.Ir.ty_size (Vex.Value.ty_of v));
-              Vex.Value.write_bytes st.thread off v
-          | Vex.Compile.CStore (a, ve) ->
-              let addr = Int64.to_int (Vex.Value.as_i64 (fast_eval a)) in
-              let v = fast_eval ve in
-              check_mem st addr (Vex.Ir.ty_size (Vex.Value.ty_of v));
-              clear_shadow_range st.mem_shadow addr
-                (Vex.Ir.ty_size (Vex.Value.ty_of v));
-              Vex.Value.write_bytes st.mem addr v
-          | Vex.Compile.CDirtyArg (t, args) ->
-              let k =
-                if Array.length args = 1 then
-                  Vex.Value.as_f64 (fast_eval args.(0))
-                else 0.0
-              in
-              fr.temps.(t) <- Vex.Value.VF64 (Vex.Machine.nth_input st.inputs k);
-              fr.tshadow.(t) <- Shadow.SNone
-          | Vex.Compile.CDirty (t, name, args) ->
-              let fargs =
-                Array.map (fun a -> Vex.Value.as_f64 (fast_eval a)) args
-              in
-              fr.temps.(t) <- Vex.Value.VF64 (Vex.Eval.libm_apply name fargs);
-              fr.tshadow.(t) <- Shadow.SNone
-          | Vex.Compile.CExit (g, target) ->
-              if Vex.Value.as_bool (fast_eval g) then raise (Exit_to target)
-          | Vex.Compile.COut (kind, e) -> (
-              let v = fast_eval e in
-              match kind with
-              | Vex.Ir.OutMark -> ()
-              | Vex.Ir.OutFloat | Vex.Ir.OutInt ->
-                  st.outputs <-
-                    {
-                      Vex.Machine.stmt_id = c.Vex.Compile.cs_id;
-                      loc = c.Vex.Compile.cs_loc;
-                      kind;
-                      value = v;
-                    }
-                    :: st.outputs)
-        end
-      | Vex.Compile.PFull -> begin
-          st.stats.stmts_instrumented <- st.stats.stmts_instrumented + 1;
-          let loc = c.Vex.Compile.cs_loc in
-          let stmt_id = c.Vex.Compile.cs_id in
-          match c.Vex.Compile.cs_op with
-          | Vex.Compile.CWrTmp (t, e) ->
-              let v, sh = eval st fr ~loc ~stmt_id e in
-              fr.temps.(t) <- v;
-              fr.tshadow.(t) <- sh
-          | Vex.Compile.CPut (off, e) ->
-              let v, sh = eval st fr ~loc ~stmt_id e in
-              store_shadow st st.thread_shadow off v sh;
-              Vex.Value.write_bytes st.thread off v
-          | Vex.Compile.CStore (a, ve) ->
-              let av, _ = eval st fr ~loc ~stmt_id a in
-              let addr = Int64.to_int (Vex.Value.as_i64 av) in
-              let v, sh = eval st fr ~loc ~stmt_id ve in
-              check_mem st addr (Vex.Ir.ty_size (Vex.Value.ty_of v));
-              store_shadow st st.mem_shadow addr v sh;
-              Vex.Value.write_bytes st.mem addr v
-          | Vex.Compile.CDirtyArg (t, args) ->
-              (* a harness input: a fresh shadow leaf with no provenance *)
-              let evaluated =
-                Array.map (fun a -> eval st fr ~loc ~stmt_id a) args
-              in
-              let k =
-                if Array.length evaluated = 1 then
-                  Vex.Value.as_f64 (fst evaluated.(0))
-                else 0.0
-              in
-              let client = Vex.Machine.nth_input st.inputs k in
-              fr.temps.(t) <- Vex.Value.VF64 client;
-              fr.tshadow.(t) <-
-                Shadow.SVal (Shadow.fresh_leaf ~traces:st.traces client)
-          | Vex.Compile.CDirty (t, name, args) ->
-              let evaluated =
-                Array.map (fun a -> eval st fr ~loc ~stmt_id a) args
-              in
-              let fargs =
-                Array.map (fun (v, _) -> Vex.Value.as_f64 v) evaluated
-              in
-              let client = Vex.Eval.libm_apply name fargs in
-              let arg_pairs =
-                Array.map (fun (v, sh) -> (Vex.Value.as_f64 v, sh)) evaluated
-              in
-              let sh =
-                do_op st ~stmt_id ~loc ~name ~single:false ~client
-                  ~client_fn:(fun a -> Vex.Eval.libm_apply name a)
-                  ~real_fn:(fun a ->
-                    Vex.Eval.libm_apply_real ~prec:(prec st) name a)
-                  arg_pairs
-              in
-              fr.temps.(t) <- Vex.Value.VF64 client;
-              fr.tshadow.(t) <- sh
-          | Vex.Compile.CExit (g, target) ->
-              let gv, gsh = eval st fr ~loc ~stmt_id g in
-              (match gsh with
-              | Shadow.SBool sb -> record_branch st ~loc ~stmt_id sb
-              | Shadow.SNone | Shadow.SVal _ | Shadow.SVec _ -> ());
-              if Vex.Value.as_bool gv then raise (Exit_to target)
-          | Vex.Compile.COut (kind, e) ->
-              let v, sh = eval st fr ~loc ~stmt_id e in
-              (match kind with
-              | Vex.Ir.OutMark -> () (* user spot mark: not a program output *)
-              | Vex.Ir.OutFloat | Vex.Ir.OutInt ->
-                  st.outputs <-
-                    { Vex.Machine.stmt_id; loc; kind; value = v } :: st.outputs);
-              let sp = spot_entry st stmt_id loc Spot_output in
-              sp.s_total <- sp.s_total + 1;
-              (match (v, sh) with
-              | (Vex.Value.VF64 f | Vex.Value.VF32 f), Shadow.SVal s ->
-                  (* a NaN output is conservatively reported at full error,
-                     even when the shadow real is NaN too (the paper's
-                     Gram-Schmidt division-by-zero finding, section 7) *)
-                  let err =
-                    if Float.is_nan f && st.cfg.Config.enable_reals then 64.0
-                    else out_error st f s.Shadow.real ~single:s.Shadow.single
-                  in
-                  sp.s_err_sum <- sp.s_err_sum +. err;
-                  if err > sp.s_err_max then sp.s_err_max <- err;
-                  if
-                    err > st.cfg.Config.error_threshold
-                    && st.cfg.Config.enable_influences
-                  then sp.s_infl <- IntSet.union sp.s_infl s.Shadow.infl
-              | _ -> ())
-        end);
-      go (i + 1)
+      let sa = arg_shadow d ~single:false a ash in
+      let sb = arg_shadow d ~single:false b bsh in
+      let x = sa.Shadow.real and y = sb.Shadow.real in
+      let shadow_b =
+        match k with
+        | SE.Eq -> B.equal x y
+        | SE.Ne -> not (B.equal x y)
+        | SE.Lt -> B.lt x y
+        | SE.Le -> B.le x y
+      in
+      let detail =
+        if d.cfg.Config.enable_influences then
+          IntSet.union sa.Shadow.infl sb.Shadow.infl
+        else IntSet.empty
+      in
+      SE.SBool { SE.client_b = client; shadow_b; detail }
     end
-  in
-  try go 0 with Exit_to target -> target
+
+  (* int -> float: exact provenance *)
+  let of_int d ~single ~client i : Shadow.t =
+    let real = B.of_bigint (Bignum.Bigint.of_int (Int64.to_int i)) in
+    let trace =
+      if d.traces then Some (Trace.leaf ~key:(B.hash real) client)
+      else begin
+        Trace.phantom ();
+        None
+      end
+    in
+    { Shadow.real; value = client; trace; infl = IntSet.empty; single }
+
+  (* float -> int: a conversion spot *)
+  let to_int d c ~rn (s : Shadow.t) client_int =
+    if d.cfg.Config.enable_reals then begin
+      let r = if rn then B.round_to_int s.Shadow.real else B.trunc s.Shadow.real in
+      let shadow_int =
+        match B.to_bigint r with
+        | Some bi -> Bignum.Bigint.to_int_opt bi
+        | None -> None
+      in
+      let agree = shadow_int = Some (Int64.to_int client_int) in
+      record_spot d c Spot_convert ~agree s.Shadow.infl
+    end
+
+  let input d client = Shadow.fresh_leaf ~traces:d.traces client
+
+  let branch d c (sb : IntSet.t SE.sbool) =
+    record_spot d c Spot_branch ~agree:(sb.SE.client_b = sb.SE.shadow_b)
+      sb.SE.detail
+
+  let store _ _ _ _ = ()
+
+  let output d c (v : Vex.Value.t) (sh : slot) =
+    let sp = spot_entry d c Spot_output in
+    sp.s_total <- sp.s_total + 1;
+    match (v, sh) with
+    | (Vex.Value.VF64 f | Vex.Value.VF32 f), SE.SVal s ->
+        (* a NaN output is conservatively reported at full error, even
+           when the shadow real is NaN too (the paper's Gram-Schmidt
+           division-by-zero finding, section 7) *)
+        let err =
+          if Float.is_nan f && d.cfg.Config.enable_reals then 64.0
+          else out_error d f s.Shadow.real ~single:s.Shadow.single
+        in
+        sp.s_err_sum <- sp.s_err_sum +. err;
+        if err > sp.s_err_max then sp.s_err_max <- err;
+        if err > d.cfg.Config.error_threshold && d.cfg.Config.enable_influences
+        then sp.s_infl <- IntSet.union sp.s_infl s.Shadow.infl
+    | _ -> ()
+end
+
+module X = SE.Make (Dom)
 
 type result = {
   r_ops : (int, op_info) Hashtbl.t;
@@ -1104,17 +391,32 @@ type result = {
 
 let run ?mem_size ?max_steps ?inputs ?restrict ?tick (cfg : Config.t)
     (prog : Vex.Ir.prog) : result =
-  let st = create ?mem_size ?max_steps ?inputs ?restrict ?tick cfg prog in
-  Fun.protect
-    ~finally:(fun () -> release_mem st.mem st.mem_hw)
-    (fun () ->
-      let error msg = Client_error msg in
-      st.stats.blocks_run <-
-        Vex.Machine.drive ~max_steps:st.max_steps ~error st.prog
-          ~run_block:(run_block st);
+  let compiled =
+    SE.compile ~type_inference:cfg.Config.type_inference ?restrict prog
+  in
+  let d =
+    {
+      cfg;
+      traces =
+        cfg.Config.enable_expressions && compiled.Vex.Compile.c_traces_reachable;
+      ops = Hashtbl.create 256;
+      spots = Hashtbl.create 64;
+      fp_ops = 0;
+      compensations = 0;
+    }
+  in
+  let outputs, n = X.run ?mem_size ?max_steps ?inputs ?tick compiled d prog in
+  {
+    r_ops = d.ops;
+    r_spots = d.spots;
+    r_outputs = outputs;
+    r_stats =
       {
-        r_ops = st.ops;
-        r_spots = st.spots;
-        r_outputs = List.rev st.outputs;
-        r_stats = st.stats;
-      })
+        blocks_run = n.SE.blocks_run;
+        stmts_run = n.SE.stmts_run;
+        stmts_executed = n.SE.stmts_executed;
+        stmts_instrumented = n.SE.stmts_instrumented;
+        fp_ops = d.fp_ops;
+        compensations = d.compensations;
+      };
+  }

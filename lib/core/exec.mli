@@ -1,16 +1,15 @@
 (** The instrumented VEX executor: the analogue of running the client
     binary under Valgrind with the Herbgrind tool loaded.
 
-    Client semantics are shared with the fast interpreter through
-    {!Vex.Eval}; this module adds the three shadow executions of paper
-    section 4 (reals, influences, expressions), spot bookkeeping, libm
-    wrapping, bit-trick recognition, compensation detection, and the
-    type-inference fast paths. Programs execute as pre-decoded
-    superblocks ({!Vex.Compile}, cached process-wide); per-block
-    temporaries and shadow slots are arena-allocated and bulk-reset, and
-    concrete trace nodes are materialized only when the compiled program
-    can reach a trace consumer. Use {!Analysis.analyze} unless you need
-    the raw tables. *)
+    This is the full engine's shadow domain over the shared executor
+    {!Vex.Shadow_exec}, which owns the statement loop, frames, shadow
+    tables, deadline tick and the shadow-free operator cases. A float's
+    shadow carries the three shadow executions of paper section 4
+    (reals, influences, expressions); this module adds the op and spot
+    tables, libm wrapping, the results of recognized bit tricks, and
+    compensation detection. Concrete trace nodes are materialized only
+    when the compiled program can reach a trace consumer. Use
+    {!Analysis.analyze} unless you need the raw tables. *)
 
 (** Per-operation (pc) aggregate: location, running anti-unification of
     its concrete traces, and error statistics. *)
@@ -62,8 +61,6 @@ type result = {
   r_stats : stats;
 }
 
-exception Client_error of string
-
 val run :
   ?mem_size:int ->
   ?max_steps:int ->
@@ -82,6 +79,9 @@ val run :
     restricted run to report identically to an unrestricted one at the
     accepted spots, the accepted set must be closed under backward data
     dependencies ({!Vex.Slice}).
+
+    Client faults (out-of-bounds memory, a jump out of the program, an
+    exceeded [max_steps]) raise {!Vex.Machine.Client_error}.
 
     [tick] is the deadline hook: the executor calls it at block
     granularity, at most once per 1024 executed raw statements (and

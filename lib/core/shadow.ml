@@ -14,9 +14,8 @@
    pre-pass proves no consumer can see a trace, [trace] is [None] and
    only the logical node count is kept (see {!Trace.phantom}).
 
-   Shadow *locations* describe what a VEX temporary or storage slot
-   holds: nothing, one scalar shadow, a float-comparison boolean, or the
-   lanes of a SIMD vector. *)
+   What a VEX temporary or storage slot holds is a
+   [Vex.Shadow_exec.slot] over these values. *)
 
 module IntSet = Set.Make (Int)
 
@@ -27,16 +26,6 @@ type t = {
   infl : IntSet.t;
   single : bool;  (* true when this value lives on the binary32 grid *)
 }
-
-(* the shadow of a boolean produced by a float comparison: tracks whether
-   the real-number comparison agrees with the client's *)
-type sbool = { client_b : bool; shadow_b : bool; binfl : IntSet.t }
-
-type slot =
-  | SNone
-  | SVal of t
-  | SBool of sbool
-  | SVec of slot array  (* 2 (F64) or 4 (F32) lanes, each SNone/SVal *)
 
 (* lazily shadow a client value that has no recorded provenance; trace keys
    always hash the exact value so equivalence inference is consistent

@@ -10,7 +10,8 @@
     pre-pass proves no consumer can ever see a trace, shadows carry
     [None] and only the logical node count is kept ({!Trace.phantom});
     [value] preserves the client double the trace node would have
-    displayed. *)
+    displayed. What a VEX temporary or storage slot holds is
+    {!Vex.Shadow_exec.slot} over these values. *)
 
 module IntSet : Set.S with type elt = int
 
@@ -21,17 +22,6 @@ type t = {
   infl : IntSet.t;  (** stmt ids of tainting operations *)
   single : bool;  (** lives on the binary32 grid *)
 }
-
-(** The shadow of a boolean produced by a float comparison: whether the
-    real-number comparison agrees with the client's. *)
-type sbool = { client_b : bool; shadow_b : bool; binfl : IntSet.t }
-
-(** What a VEX temporary or storage slot holds. *)
-type slot =
-  | SNone  (** nothing shadowed *)
-  | SVal of t  (** one scalar shadow (possibly riding in an integer) *)
-  | SBool of sbool
-  | SVec of slot array  (** SIMD lanes, 2 (F64) or 4 (F32) *)
 
 val fresh_leaf : ?single:bool -> traces:bool -> float -> t
 (** Lazily shadow a client value with no recorded provenance (paper 6.1).

@@ -3,9 +3,7 @@
    [Fleet.run] drives a list of job specs across a Domain worker pool
    with per-job deadlines and exception capture; [Fleet.bench_spec]
    builds the standard FPBench analysis job; [Fleet.Store] persists
-   outcomes as JSONL and renders the summary table; [Fleet.Json] is the
-   dependency-free JSON used by the store. *)
+   outcomes as JSONL (in [Json]) and renders the summary table. *)
 
 include Engine
-module Json = Json
 module Store = Store

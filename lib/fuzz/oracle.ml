@@ -131,7 +131,7 @@ let diff_obs ~left ~right (a : obs list) (b : obs list) : string option =
 type leg_result = Obs of obs list | Out_of_budget of string | Err of string
 
 let is_budget_msg msg =
-  (* both Vex.Machine and Core.Exec word it this way *)
+  (* [Vex.Machine.drive]'s wording, shared by every engine *)
   let needle = "step budget" in
   let n = String.length needle and m = String.length msg in
   let rec go i = i + n <= m && (String.sub msg i n = needle || go (i + 1)) in
@@ -143,10 +143,6 @@ let leg (name : string) (f : unit -> obs list) : leg_result =
   | exception Interp.Budget -> Out_of_budget name
   | exception Interp.Runtime msg -> Err (name ^ ": " ^ msg)
   | exception Vex.Machine.Client_error msg ->
-      if is_budget_msg msg then Out_of_budget name else Err (name ^ ": " ^ msg)
-  | exception Core.Exec.Client_error msg ->
-      if is_budget_msg msg then Out_of_budget name else Err (name ^ ": " ^ msg)
-  | exception Sanitize.Sexec.Client_error msg ->
       if is_budget_msg msg then Out_of_budget name else Err (name ^ ": " ^ msg)
   | exception Division_by_zero -> Err (name ^ ": division by zero")
   | exception Minic.Compile_error msg -> Err (name ^ ": " ^ msg)
@@ -250,10 +246,7 @@ let consistency_check ~(checks : checks) ~tick ~inputs (prog : Vex.Ir.prog) :
       in
       (a, s)
     with
-    | exception
-        ( Core.Exec.Client_error msg
-        | Sanitize.Sexec.Client_error msg
-        | Vex.Machine.Client_error msg ) ->
+    | exception Vex.Machine.Client_error msg ->
         if is_budget_msg msg then Skip "consistency: step budget exceeded"
         else Fail { d_oracle = "consistency"; d_detail = msg }
     | a, s ->
@@ -373,10 +366,7 @@ let tiered_check ~(checks : checks) ~tick ~inputs (prog : Vex.Ir.prog) :
     in
     (t, full)
   with
-  | exception
-      ( Core.Exec.Client_error msg
-      | Sanitize.Sexec.Client_error msg
-      | Vex.Machine.Client_error msg ) ->
+  | exception Vex.Machine.Client_error msg ->
       if is_budget_msg msg then Skip "tiered: step budget exceeded"
       else Fail { d_oracle = "tiered"; d_detail = msg }
   | t, full -> begin

@@ -151,17 +151,17 @@ let throughput (r : report) : float =
   if r.r_elapsed_s <= 0.0 then 0.0
   else float_of_int r.r_ok /. r.r_elapsed_s
 
-let to_json (c : config) (r : report) : Fleet.Json.t =
-  let num v = Fleet.Json.Num v in
-  let ms v = if Float.is_nan v then Fleet.Json.Null else num (v *. 1000.0) in
-  Fleet.Json.Obj
+let to_json (c : config) (r : report) : Json.t =
+  let num v = Json.Num v in
+  let ms v = if Float.is_nan v then Json.Null else num (v *. 1000.0) in
+  Json.Obj
     [
       ("seed", num (float_of_int c.lg_seed));
       ("rate", num c.lg_rate);
       ("duration_s", num c.lg_duration);
       ("conns", num (float_of_int c.lg_conns));
-      ("mix", Fleet.Json.Str (mix_to_string c.lg_mix));
-      ("engine", Fleet.Json.Str c.lg_engine);
+      ("mix", Json.Str (mix_to_string c.lg_mix));
+      ("engine", Json.Str c.lg_engine);
       ("requests", num (float_of_int r.r_requests));
       ("ok", num (float_of_int r.r_ok));
       ("throttled_503", num (float_of_int r.r_throttled));
@@ -170,7 +170,7 @@ let to_json (c : config) (r : report) : Fleet.Json.t =
       ("conn_errors", num (float_of_int r.r_conn_errors));
       ("elapsed_s", num r.r_elapsed_s);
       ("throughput_rps", num (throughput r));
-      ("latency_ms", Fleet.Json.Obj [
+      ("latency_ms", Json.Obj [
         ("p50", ms (Hist.quantile r.r_hist 0.50));
         ("p90", ms (Hist.quantile r.r_hist 0.90));
         ("p99", ms (Hist.quantile r.r_hist 0.99));

@@ -1,18 +1,14 @@
-(* The NSan-style shadow executor: runs a superblock program once,
-   shadowing every F32/F64 temporary, thread-state slot and memory slot
-   with a double-double ({!Twofloat}) instead of the full analysis'
+(* The NSan-style sanitizer: the double-double ({!Twofloat}) shadow
+   domain over [Vex.Shadow_exec], in place of the full analysis'
    Bigfloat-plus-trace-plus-influences shadow. Checks fire at the
    observable points of Courbet's NSan: memory stores of floats,
    float-to-integer casts, float comparisons that flip against the
-   shadow, and program outputs.
-
-   Client semantics are shared with the other engines through
-   [Vex.Eval]; the stepping loop is [Vex.Machine.drive], the pre-decoded
-   superblock stream is [Vex.Compile] (cached process-wide), both shared
-   with [Core.Exec]. Outputs are bit-identical to [Vex.Machine.run]'s
-   (the fuzz transparency oracle holds the engine to that). *)
+   shadow, and program outputs. Outputs are bit-identical to
+   [Vex.Machine.run]'s (the fuzz transparency oracle holds the engine to
+   that). *)
 
 module TF = Twofloat
+module SE = Vex.Shadow_exec
 
 type check_kind = Check_store | Check_cast | Check_cmp | Check_output
 
@@ -41,7 +37,6 @@ type finding = {
 }
 
 exception Fatal_finding of finding
-exception Client_error of string
 
 type stats = {
   mutable blocks_run : int;
@@ -52,230 +47,27 @@ type stats = {
   mutable checks_run : int;
 }
 
-(* a comparison shadow: the client verdict, the dd verdict, the error in
-   the compared difference, and whether the margin was below what ~106
-   bits can resolve *)
-type sbool = {
-  client_b : bool;
-  shadow_b : bool;
-  cmp_bits : float;
-  uncertain : bool;
-}
+(* a comparison's shadow detail: the error in the compared difference,
+   and whether the margin was below what ~106 bits can resolve *)
+type cmp_detail = { cmp_bits : float; uncertain : bool }
+type slot = (TF.t, cmp_detail) SE.slot
 
-type slot = SNone | SF of TF.t | SBool of sbool | SVec of slot array
-
-(* A paged dense shadow table, replacing the sparse [Vex.Shadowtbl] on
-   the sanitizer's hot path: a load or store of a shadowed float costs a
-   few array reads instead of hashtable probes, and nothing allocates
-   after the first touch of a page. Semantics mirror [Vex.Shadowtbl] —
-   an entry covers [addr, addr+size) at a 4-aligned start, and any
-   overlapping write kills it; unaligned addresses never hit (the probe
-   grid is 4-aligned, exactly like the sparse table's key space). *)
-module Stbl : sig
-  type t
-
-  val create : int -> t
-  (** [create nbytes] shadows a [nbytes]-byte space, initially empty. *)
-
-  val get : t -> int -> int -> slot
-  (** the slot at exactly [addr]/[size], or [SNone] *)
-
-  val clear_range : t -> int -> int -> unit
-  val set : t -> int -> int -> slot -> unit
-end = struct
-  type page = { slots : slot array; sizes : Bytes.t }
-  type t = { pages : page option array }
-
-  let page_cells = 1024 (* 4 KiB of client space per page *)
-
-  let create nbytes =
-    let ncells = (nbytes + 3) lsr 2 in
-    { pages = Array.make (((ncells + page_cells - 1) / page_cells) + 1) None }
-
-  let get t addr size : slot =
-    if addr land 3 <> 0 || addr < 0 then SNone
-    else
-      let c = addr lsr 2 in
-      let p = c / page_cells in
-      if p >= Array.length t.pages then SNone
-      else
-        match t.pages.(p) with
-        | None -> SNone
-        | Some pg ->
-            let i = c land (page_cells - 1) in
-            if Bytes.get_uint8 pg.sizes i = size then pg.slots.(i) else SNone
-
-  let clear_range t addr size =
-    let off = ref (addr - 12) in
-    while !off < addr + size do
-      (if !off >= 0 && !off land 3 = 0 then
-         let c = !off lsr 2 in
-         let p = c / page_cells in
-         if p < Array.length t.pages then
-           match t.pages.(p) with
-           | None -> ()
-           | Some pg ->
-               let i = c land (page_cells - 1) in
-               let esize = Bytes.get_uint8 pg.sizes i in
-               if esize > 0 && !off + esize > addr && !off < addr + size
-               then begin
-                 Bytes.set_uint8 pg.sizes i 0;
-                 pg.slots.(i) <- SNone
-               end);
-      off := !off + 4
-    done
-
-  let set t addr size (s : slot) =
-    clear_range t addr size;
-    if addr land 3 = 0 && addr >= 0 then begin
-      let c = addr lsr 2 in
-      let p = c / page_cells in
-      if p < Array.length t.pages then begin
-        let pg =
-          match t.pages.(p) with
-          | Some pg -> pg
-          | None ->
-              let pg =
-                {
-                  slots = Array.make page_cells SNone;
-                  sizes = Bytes.make page_cells '\000';
-                }
-              in
-              t.pages.(p) <- Some pg;
-              pg
-        in
-        let i = c land (page_cells - 1) in
-        pg.slots.(i) <- s;
-        Bytes.set_uint8 pg.sizes i size
-      end
-    end
-end
-
-(* Per-block scratch space, allocated once at [create] and reused on
-   every execution of the block (the stepping loop runs one block at a
-   time, so reuse cannot race). [esh] carries the shadow slot of the
-   expression [eval] just returned — an out-parameter, so the hot
-   evaluator never allocates a (value, slot) pair per node. *)
-type frame = {
-  temps : Vex.Value.t array;
-  tshadow : slot array;
-  mutable esh : slot;
-}
-
-type state = {
-  prog : Vex.Ir.prog;
+type t = {
   threshold : float;
   fatal : bool;
-  compiled : Vex.Compile.t;
-  mem : Bytes.t;
-  (* exclusive upper bound of client memory traffic this run; the
-     scratch pool re-zeroes only [0, mem_hw) on reuse *)
-  mutable mem_hw : int;
-  thread : Bytes.t;
-  (* the tables hold whole [SF] slots, not bare dd values: a load can
-     then return the stored box as-is and a store re-insert it, so the
-     hot loop never re-wraps a shadow it just read *)
-  mem_shadow : Stbl.t;
-  thread_shadow : Stbl.t;
   findings : (int, finding) Hashtbl.t;
   (* the same findings indexed [block].(stmt): check sites hit their
      entry with two array reads instead of a hash probe *)
   findings_by_stmt : finding option array array;
-  frames : frame array;  (* per-block scratch, reused across executions *)
-  temp_inits : Vex.Value.t array array;  (* pristine temps per block *)
-  inputs : float array;
-  mutable outputs : Vex.Machine.output list;  (* reversed *)
-  stats : stats;
-  max_steps : int;
-  (* deadline hook, called by the executor itself every [tick_stride]
-     raw statements rather than by the driver per superblock *)
-  tick : (unit -> unit) option;
-  mutable stmts_since_tick : int;
+  mutable shadow_ops : int;
+  mutable checks_run : int;
 }
-
-(* A per-domain pool of one client-memory buffer. Zeroing a fresh 1 MiB
-   [Bytes.make] per execution costs more than many sanitize runs do, so
-   [run] parks its buffer here on exit and [create] re-zeroes only the
-   prefix the previous run actually touched ([mem_hw], which bounds
-   every load and store) — a read above the watermark still sees the
-   zeros the machine semantics promise. *)
-let scratch_pool : (Bytes.t * int) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let acquire_mem mem_size : Bytes.t =
-  let pool = Domain.DLS.get scratch_pool in
-  match !pool with
-  | Some (b, hw) when Bytes.length b = mem_size ->
-      pool := None;
-      Bytes.fill b 0 (min hw mem_size) '\000';
-      b
-  | _ -> Bytes.make mem_size '\000'
-
-let release_mem (mem : Bytes.t) (mem_hw : int) : unit =
-  let pool = Domain.DLS.get scratch_pool in
-  pool := Some (mem, mem_hw)
-
-(* raw statements between wall-clock checks; shared with [Core.Exec] *)
-let tick_stride = 1024
-
-let create ?(mem_size = Vex.Machine.default_mem_size) ?(max_steps = max_int)
-    ?(inputs = [||]) ?(fatal = false) ?tick (cfg : Core.Config.t) prog =
-  let compiled =
-    Vex.Compile.get ~type_inference:cfg.Core.Config.type_inference prog
-  in
-  {
-    prog;
-    threshold = cfg.Core.Config.error_threshold;
-    fatal;
-    compiled;
-    mem = acquire_mem mem_size;
-    mem_hw = 0;
-    thread = Bytes.make Vex.Machine.default_thread_size '\000';
-    mem_shadow = Stbl.create mem_size;
-    thread_shadow = Stbl.create Vex.Machine.default_thread_size;
-    findings = Hashtbl.create 64;
-    findings_by_stmt =
-      Array.map
-        (fun (b : Vex.Ir.block) ->
-          Array.make (Array.length b.Vex.Ir.stmts) None)
-        prog.Vex.Ir.blocks;
-    frames =
-      Array.map
-        (fun (b : Vex.Ir.block) ->
-          let n = Array.length b.Vex.Ir.temp_tys in
-          {
-            temps = Array.map Vex.Machine.init_value b.Vex.Ir.temp_tys;
-            tshadow = Array.make n SNone;
-            esh = SNone;
-          })
-        prog.Vex.Ir.blocks;
-    temp_inits =
-      Array.map
-        (fun (b : Vex.Ir.block) ->
-          Array.map Vex.Machine.init_value b.Vex.Ir.temp_tys)
-        prog.Vex.Ir.blocks;
-    inputs;
-    outputs = [];
-    stats =
-      {
-        blocks_run = 0;
-        stmts_run = 0;
-        stmts_executed = 0;
-        stmts_instrumented = 0;
-        shadow_ops = 0;
-        checks_run = 0;
-      };
-    max_steps;
-    tick;
-    (* start at the stride so the first block entry checks the deadline
-       immediately *)
-    stmts_since_tick = tick_stride;
-  }
 
 (* ---------- findings ---------- *)
 
-let finding_entry st id loc kind =
-  let row = st.findings_by_stmt.(Vex.Ir.stmt_id_block id) in
+let finding_entry d (c : SE.site) kind =
+  let id = c.Vex.Compile.cs_id in
+  let row = d.findings_by_stmt.(Vex.Ir.stmt_id_block id) in
   let si = Vex.Ir.stmt_id_stmt id in
   match row.(si) with
   | Some f -> f
@@ -283,7 +75,7 @@ let finding_entry st id loc kind =
       let f =
         {
           f_id = id;
-          f_loc = loc;
+          f_loc = c.Vex.Compile.cs_loc;
           f_kind = kind;
           f_total = 0;
           f_hits = 0;
@@ -294,33 +86,32 @@ let finding_entry st id loc kind =
         }
       in
       row.(si) <- Some f;
-      Hashtbl.replace st.findings id f;
+      Hashtbl.replace d.findings id f;
       f
 
 (* value-error checks (stores, outputs): fire above the threshold *)
-let check_value st ~stmt_id ~loc ~kind ~(bits : float) =
-  st.stats.checks_run <- st.stats.checks_run + 1;
-  let f = finding_entry st stmt_id loc kind in
+let check_value d c ~kind ~(bits : float) =
+  d.checks_run <- d.checks_run + 1;
+  let f = finding_entry d c kind in
   f.f_total <- f.f_total + 1;
   f.f_bits_sum <- f.f_bits_sum +. bits;
   if bits > f.f_bits_max then f.f_bits_max <- bits;
-  if bits > st.threshold then begin
+  if bits > d.threshold then begin
     f.f_hits <- f.f_hits + 1;
-    if st.fatal then raise (Fatal_finding f)
+    if d.fatal then raise (Fatal_finding f)
   end
 
 (* flip checks (casts, comparisons): fire when the verdicts disagree *)
-let check_flip st ~stmt_id ~loc ~kind ~(flip : bool) ~(bits : float)
-    ~(uncertain : bool) =
-  st.stats.checks_run <- st.stats.checks_run + 1;
-  let f = finding_entry st stmt_id loc kind in
+let check_flip d c ~kind ~(flip : bool) ~(bits : float) ~(uncertain : bool) =
+  d.checks_run <- d.checks_run + 1;
+  let f = finding_entry d c kind in
   f.f_total <- f.f_total + 1;
   if flip then begin
     f.f_hits <- f.f_hits + 1;
     f.f_bits_sum <- f.f_bits_sum +. bits;
     if bits > f.f_bits_max then f.f_bits_max <- bits;
     if uncertain then f.f_uncertain <- f.f_uncertain + 1;
-    if st.fatal then raise (Fatal_finding f)
+    if d.fatal then raise (Fatal_finding f)
   end
 
 (* error of a client float against its dd shadow, on the client's grid *)
@@ -329,504 +120,131 @@ let shadow_bits ~single (client : float) (sh : TF.t) =
   if single then Ieee.Single.bits_of_error client (Ieee.Single.of_double rf)
   else Ieee.bits_of_error client rf
 
-(* ---------- shadow plumbing ---------- *)
-
 let sf_of (v : float) (sl : slot) : TF.t =
-  match sl with SF d -> d | SNone | SBool _ | SVec _ -> TF.of_float v
-
-let check_mem st addr size =
-  if addr < 0 || addr + size > Bytes.length st.mem then
-    raise (Client_error (Printf.sprintf "memory access out of bounds: %d" addr))
-  else if addr + size > st.mem_hw then st.mem_hw <- addr + size
-
-(* the stored slot at exactly [off]/[size], or SNone — allocation-free *)
-let tbl_slot tbl off size : slot =
-  match Stbl.get tbl off size with
-  | s -> s
-  | exception Not_found -> SNone
-
-let load_shadow tbl off (ty : Vex.Ir.ty) : slot =
-  match ty with
-  | Vex.Ir.F64 | Vex.Ir.I64 -> tbl_slot tbl off 8
-  | Vex.Ir.F32 | Vex.Ir.I32 -> tbl_slot tbl off 4
-  | Vex.Ir.V128 -> begin
-      match (tbl_slot tbl off 8, tbl_slot tbl (off + 8) 8) with
-      | SNone, SNone -> begin
-          let lanes = Array.init 4 (fun i -> tbl_slot tbl (off + (4 * i)) 4) in
-          if Array.exists (fun s -> s <> SNone) lanes then SVec lanes
-          else SNone
-        end
-      | lo, hi -> SVec [| lo; hi |]
-    end
-  | Vex.Ir.I1 | Vex.Ir.I8 | Vex.Ir.I16 -> SNone
-
-let store_shadow tbl off (v : Vex.Value.t) (sh : slot) =
-  match (v, sh) with
-  | Vex.Value.VV128 _, SVec lanes ->
-      let lane_size = if Array.length lanes = 2 then 8 else 4 in
-      Array.iteri
-        (fun i sl ->
-          match sl with
-          | SF _ -> Stbl.set tbl (off + (lane_size * i)) lane_size sl
-          | SNone | SBool _ | SVec _ ->
-              Stbl.clear_range tbl (off + (lane_size * i)) lane_size)
-        lanes
-  | Vex.Value.VV128 _, _ -> Stbl.clear_range tbl off 16
-  | v, (SF _ as s) ->
-      let size =
-        match Vex.Value.ty_of v with
-        | Vex.Ir.F32 | Vex.Ir.I32 -> 4
-        | _ -> 8
-      in
-      Stbl.set tbl off size s
-  | v, _ -> Stbl.clear_range tbl off (Vex.Ir.ty_size (Vex.Value.ty_of v))
-
-(* ---------- shadowed operations ---------- *)
-
-let float_of_value = function
-  | Vex.Value.VF64 f | Vex.Value.VF32 f -> f
-  | v -> Vex.Value.type_error "expected float" v
+  match sl with SE.SVal x -> x | SE.SNone | SE.SBool _ | SE.SVec _ -> TF.of_float v
 
 (* margin below which a dd comparison verdict is not trustworthy against
    an arbitrarily precise engine *)
 let cmp_uncertainty_rel = 0x1p-88
 
-let do_cmp st (dd_cmp : TF.t -> TF.t -> bool) ~(client : bool)
-    (a_f : float) (ash : slot) (b_f : float) (bsh : slot) : slot =
-  st.stats.shadow_ops <- st.stats.shadow_ops + 1;
-  let ad = sf_of a_f ash and bd = sf_of b_f bsh in
-  let shadow_b = dd_cmp ad bd in
-  let diff = TF.sub ad bd in
-  let cmp_bits = Ieee.bits_of_error (a_f -. b_f) (TF.to_float diff) in
-  let scale = Float.max (Float.abs (TF.to_float ad)) (Float.abs (TF.to_float bd)) in
-  let uncertain =
-    (not (TF.is_finite ad && TF.is_finite bd))
-    || Float.abs (TF.to_float diff) <= scale *. cmp_uncertainty_rel
-  in
-  SBool { client_b = client; shadow_b; cmp_bits; uncertain }
+(* ---------- the sanitizer's shadow domain ---------- *)
 
-let record_branch st ~loc ~stmt_id (sb : sbool) =
-  check_flip st ~stmt_id ~loc ~kind:Check_cmp
-    ~flip:(sb.client_b <> sb.shadow_b)
-    ~bits:sb.cmp_bits ~uncertain:sb.uncertain
+module Dom = struct
+  type v = TF.t
+  type b = cmp_detail
+  type nonrec t = t
 
-(* a float -> int cast: compare the client integer against the dd
-   truncation/rounding; flag flips, with an uncertainty guard when the
-   dd value sits within dd resolution of the rounding boundary *)
-let do_cast st ~loc ~stmt_id ~(rn : bool) (arg_f : float) (ash : slot)
-    (client_int : int64) =
-  match ash with
-  | SF d ->
-      let shadow_int = TF.to_int64 ~rn d in
-      let flip =
-        match shadow_int with
-        | Some i -> not (Int64.equal i client_int)
-        | None -> true
+  let count d = d.shadow_ops <- d.shadow_ops + 1
+
+  let arith d _ (op : SE.arith) ~single:_ ~client:_ a ash b bsh =
+    count d;
+    let x = sf_of a ash and y = sf_of b bsh in
+    match op with
+    | SE.Add -> TF.add x y
+    | SE.Sub -> TF.sub x y
+    | SE.Mul -> TF.mul x y
+    | SE.Div -> TF.div x y
+    | SE.Min -> TF.min2 x y
+    | SE.Max -> TF.max2 x y
+
+  let sqrt d _ ~single:_ ~client:_ a ash =
+    count d;
+    TF.sqrt (sf_of a ash)
+
+  let libm d _ name ~client:_ fargs slots =
+    count d;
+    TF.libm_apply name (Array.map2 sf_of fargs slots)
+
+  let neg _ ~client:_ x = TF.neg x
+  let abs _ ~client:_ x = TF.abs x
+
+  (* the dd shadow keeps its full width across precision conversions *)
+  let precision ~single:_ x = x
+
+  let cmp d (k : SE.cmp) ~client a ash b bsh : slot =
+    count d;
+    let ad = sf_of a ash and bd = sf_of b bsh in
+    let shadow_b =
+      match k with
+      | SE.Eq -> TF.eq ad bd
+      | SE.Ne -> not (TF.eq ad bd)
+      | SE.Lt -> TF.lt ad bd
+      | SE.Le -> TF.le ad bd
+    in
+    let diff = TF.sub ad bd in
+    let cmp_bits = Ieee.bits_of_error (a -. b) (TF.to_float diff) in
+    let scale =
+      Float.max (Float.abs (TF.to_float ad)) (Float.abs (TF.to_float bd))
+    in
+    let uncertain =
+      (not (TF.is_finite ad && TF.is_finite bd))
+      || Float.abs (TF.to_float diff) <= scale *. cmp_uncertainty_rel
+    in
+    SE.SBool { SE.client_b = client; shadow_b; detail = { cmp_bits; uncertain } }
+
+  let of_int _ ~single:_ ~client:_ i = TF.of_int64 i
+
+  (* a float -> int cast: compare the client integer against the dd
+     truncation/rounding; flag flips, with an uncertainty guard when the
+     dd value sits within dd resolution of the rounding boundary *)
+  let to_int d c ~rn x client_int =
+    let shadow_int = TF.to_int64 ~rn x in
+    let flip, bits =
+      match shadow_int with
+      | Some i ->
+          ( not (Int64.equal i client_int),
+            Ieee.bits_of_error (Int64.to_float client_int) (Int64.to_float i) )
+      | None -> (true, 64.0)
+    in
+    let uncertain =
+      (not (TF.is_finite x))
+      ||
+      let v = TF.to_float x in
+      let frac = v -. Float.trunc v in
+      let boundary_dist =
+        if rn then Float.abs (Float.abs frac -. 0.5)
+        else Float.min (Float.abs frac) (1.0 -. Float.abs frac)
       in
-      let bits =
-        match shadow_int with
-        | Some i ->
-            Ieee.bits_of_error (Int64.to_float client_int) (Int64.to_float i)
-        | None -> 64.0
-      in
-      let uncertain =
-        (not (TF.is_finite d))
-        ||
-        let v = TF.to_float d in
-        let frac = v -. Float.trunc v in
-        let boundary_dist =
-          if rn then Float.abs (Float.abs frac -. 0.5)
-          else Float.min (Float.abs frac) (1.0 -. Float.abs frac)
+      boundary_dist <= (Float.abs v *. cmp_uncertainty_rel) +. 0x1p-200
+    in
+    check_flip d c ~kind:Check_cast ~flip ~bits ~uncertain
+
+  (* a harness input: an exact dd shadow of the client value *)
+  let input _ client = TF.of_float client
+
+  let branch d c (sb : cmp_detail SE.sbool) =
+    check_flip d c ~kind:Check_cmp
+      ~flip:(sb.SE.client_b <> sb.SE.shadow_b)
+      ~bits:sb.SE.detail.cmp_bits ~uncertain:sb.SE.detail.uncertain
+
+  (* NSan's store check: how far has this value drifted by the time it
+     is written back to memory? *)
+  let store d c (v : Vex.Value.t) (sh : slot) =
+    match (v, sh) with
+    | Vex.Value.VF64 f, SE.SVal x ->
+        check_value d c ~kind:Check_store ~bits:(shadow_bits ~single:false f x)
+    | Vex.Value.VF32 f, SE.SVal x ->
+        check_value d c ~kind:Check_store ~bits:(shadow_bits ~single:true f x)
+    | _ -> ()
+
+  let output d c (v : Vex.Value.t) (sh : slot) =
+    match v with
+    | Vex.Value.VF64 f | Vex.Value.VF32 f ->
+        let single = match v with Vex.Value.VF32 _ -> true | _ -> false in
+        (* a nan output is conservatively reported at full error even
+           when the shadow is nan too, mirroring the full engine's rule *)
+        let bits =
+          if Float.is_nan f then 64.0 else shadow_bits ~single f (sf_of f sh)
         in
-        boundary_dist <= (Float.abs v *. cmp_uncertainty_rel) +. 0x1p-200
-      in
-      check_flip st ~stmt_id ~loc ~kind:Check_cast ~flip ~bits ~uncertain
-  | SNone | SBool _ | SVec _ ->
-      (* no shadow: the cast input is exact, nothing to compare *)
-      ignore arg_f
-
-let lane_slot (sl : slot) n i : slot =
-  match sl with
-  | SVec lanes when Array.length lanes = n -> lanes.(i)
-  | _ -> SNone
-
-let shadow_unop st ~loc ~stmt_id (op : Vex.Ir.unop) (av : Vex.Value.t)
-    (ash : slot) (result : Vex.Value.t) : slot =
-  match op with
-  | Vex.Ir.SqrtF64 ->
-      st.stats.shadow_ops <- st.stats.shadow_ops + 1;
-      SF (TF.sqrt (sf_of (Vex.Value.as_f64 av) ash))
-  | Vex.Ir.SqrtF32 ->
-      st.stats.shadow_ops <- st.stats.shadow_ops + 1;
-      SF (TF.sqrt (sf_of (Vex.Value.as_f32 av) ash))
-  | Vex.Ir.NegF64 | Vex.Ir.NegF32 -> begin
-      match ash with SF d -> SF (TF.neg d) | _ -> SNone
-    end
-  | Vex.Ir.AbsF64 | Vex.Ir.AbsF32 -> begin
-      match ash with SF d -> SF (TF.abs d) | _ -> SNone
-    end
-  (* precision conversions: the dd shadow keeps its full width *)
-  | Vex.Ir.F32toF64 | Vex.Ir.F64toF32 -> ash
-  (* int -> float: exact provenance *)
-  | Vex.Ir.I64toF64 | Vex.Ir.I64toF32 ->
-      SF (TF.of_int64 (Vex.Value.as_i64 av))
-  (* float -> int: a cast check point *)
-  | Vex.Ir.F64toI64tz ->
-      do_cast st ~loc ~stmt_id ~rn:false (Vex.Value.as_f64 av) ash
-        (Vex.Value.as_i64 result);
-      SNone
-  | Vex.Ir.F64toI64rn ->
-      do_cast st ~loc ~stmt_id ~rn:true (Vex.Value.as_f64 av) ash
-        (Vex.Value.as_i64 result);
-      SNone
-  | Vex.Ir.F32toI64tz ->
-      do_cast st ~loc ~stmt_id ~rn:false (Vex.Value.as_f32 av) ash
-        (Vex.Value.as_i64 result);
-      SNone
-  (* bit reinterpretation: the shadow rides along *)
-  | Vex.Ir.ReinterpF64asI64 | Vex.Ir.ReinterpI64asF64 | Vex.Ir.ReinterpF32asI32
-  | Vex.Ir.ReinterpI32asF32 ->
-      ash
-  | Vex.Ir.V128to64 -> lane_slot ash 2 0
-  | Vex.Ir.V128HIto64 -> lane_slot ash 2 1
-  | Vex.Ir.Sqrt64Fx2 ->
-      let a0, a1 = Vex.Value.v128_f64_lanes (Vex.Value.as_v128 av) in
-      let lane i a =
-        st.stats.shadow_ops <- st.stats.shadow_ops + 1;
-        SF (TF.sqrt (sf_of a (lane_slot ash 2 i)))
-      in
-      SVec [| lane 0 a0; lane 1 a1 |]
-  | Vex.Ir.Not1 | Vex.Ir.Neg64 | Vex.Ir.Not64 | Vex.Ir.I32toI64s
-  | Vex.Ir.I32toI64u | Vex.Ir.I64toI32 -> begin
-      (* Not1 must preserve comparison shadows so negated guards track *)
-      match (op, ash) with
-      | Vex.Ir.Not1, SBool sb ->
-          SBool { sb with client_b = not sb.client_b; shadow_b = not sb.shadow_b }
-      | _ -> SNone
-    end
-
-let shadow_binop st (op : Vex.Ir.binop) (av : Vex.Value.t) (ash : slot)
-    (bv : Vex.Value.t) (bsh : slot) (result : Vex.Value.t) : slot =
-  let f64_op dd_fn =
-    st.stats.shadow_ops <- st.stats.shadow_ops + 1;
-    SF
-      (dd_fn
-         (sf_of (Vex.Value.as_f64 av) ash)
-         (sf_of (Vex.Value.as_f64 bv) bsh))
-  in
-  let f32_op dd_fn =
-    st.stats.shadow_ops <- st.stats.shadow_ops + 1;
-    SF
-      (dd_fn
-         (sf_of (Vex.Value.as_f32 av) ash)
-         (sf_of (Vex.Value.as_f32 bv) bsh))
-  in
-  let cmp_op dd_cmp =
-    do_cmp st dd_cmp
-      ~client:(Vex.Value.as_bool result)
-      (float_of_value av) ash (float_of_value bv) bsh
-  in
-  match op with
-  | Vex.Ir.AddF64 -> f64_op TF.add
-  | Vex.Ir.SubF64 -> f64_op TF.sub
-  | Vex.Ir.MulF64 -> f64_op TF.mul
-  | Vex.Ir.DivF64 -> f64_op TF.div
-  | Vex.Ir.MinF64 -> f64_op TF.min2
-  | Vex.Ir.MaxF64 -> f64_op TF.max2
-  | Vex.Ir.AddF32 -> f32_op TF.add
-  | Vex.Ir.SubF32 -> f32_op TF.sub
-  | Vex.Ir.MulF32 -> f32_op TF.mul
-  | Vex.Ir.DivF32 -> f32_op TF.div
-  | Vex.Ir.CmpEQF64 | Vex.Ir.CmpEQF32 -> cmp_op TF.eq
-  | Vex.Ir.CmpNEF64 -> cmp_op (fun x y -> not (TF.eq x y))
-  | Vex.Ir.CmpLTF64 | Vex.Ir.CmpLTF32 -> cmp_op TF.lt
-  | Vex.Ir.CmpLEF64 | Vex.Ir.CmpLEF32 -> cmp_op TF.le
-  (* gcc bit tricks: XOR with the sign mask is negation, AND with the
-     abs mask is fabs *)
-  | Vex.Ir.Xor64 -> begin
-      match (ash, bsh, av, bv) with
-      | SF d, SNone, _, Vex.Value.VI64 m
-        when Int64.equal m Ieee.Bits.sign_flip_mask64 ->
-          SF (TF.neg d)
-      | SNone, SF d, Vex.Value.VI64 m, _
-        when Int64.equal m Ieee.Bits.sign_flip_mask64 ->
-          SF (TF.neg d)
-      | _ -> SNone
-    end
-  | Vex.Ir.And64 -> begin
-      match (ash, bsh, av, bv) with
-      | SF d, SNone, _, Vex.Value.VI64 m
-        when Int64.equal m Ieee.Bits.abs_mask64 ->
-          SF (TF.abs d)
-      | SNone, SF d, Vex.Value.VI64 m, _
-        when Int64.equal m Ieee.Bits.abs_mask64 ->
-          SF (TF.abs d)
-      | _ -> SNone
-    end
-  (* SIMD packed float ops: one dd op per lane *)
-  | Vex.Ir.Add64Fx2 | Vex.Ir.Sub64Fx2 | Vex.Ir.Mul64Fx2 | Vex.Ir.Div64Fx2 ->
-      let dd_fn =
-        match op with
-        | Vex.Ir.Add64Fx2 -> TF.add
-        | Vex.Ir.Sub64Fx2 -> TF.sub
-        | Vex.Ir.Mul64Fx2 -> TF.mul
-        | _ -> TF.div
-      in
-      let a0, a1 = Vex.Value.v128_f64_lanes (Vex.Value.as_v128 av) in
-      let b0, b1 = Vex.Value.v128_f64_lanes (Vex.Value.as_v128 bv) in
-      let lane i x y =
-        st.stats.shadow_ops <- st.stats.shadow_ops + 1;
-        SF (dd_fn (sf_of x (lane_slot ash 2 i)) (sf_of y (lane_slot bsh 2 i)))
-      in
-      SVec [| lane 0 a0 b0; lane 1 a1 b1 |]
-  | Vex.Ir.Add32Fx4 | Vex.Ir.Sub32Fx4 | Vex.Ir.Mul32Fx4 | Vex.Ir.Div32Fx4 ->
-      let dd_fn =
-        match op with
-        | Vex.Ir.Add32Fx4 -> TF.add
-        | Vex.Ir.Sub32Fx4 -> TF.sub
-        | Vex.Ir.Mul32Fx4 -> TF.mul
-        | _ -> TF.div
-      in
-      let a0, a1, a2, a3 = Vex.Value.v128_f32_lanes (Vex.Value.as_v128 av) in
-      let b0, b1, b2, b3 = Vex.Value.v128_f32_lanes (Vex.Value.as_v128 bv) in
-      let lane i x y =
-        st.stats.shadow_ops <- st.stats.shadow_ops + 1;
-        SF (dd_fn (sf_of x (lane_slot ash 4 i)) (sf_of y (lane_slot bsh 4 i)))
-      in
-      SVec [| lane 0 a0 b0; lane 1 a1 b1; lane 2 a2 b2; lane 3 a3 b3 |]
-  | Vex.Ir.I64HLtoV128 ->
-      (* Binop(hi, lo): lanes are [lo; hi] *)
-      SVec [| bsh; ash |]
-  | Vex.Ir.XorV128 | Vex.Ir.AndV128 | Vex.Ir.OrV128 -> SNone
-  | Vex.Ir.Add64 | Vex.Ir.Sub64 | Vex.Ir.Mul64 | Vex.Ir.DivS64 | Vex.Ir.ModS64
-  | Vex.Ir.Or64 | Vex.Ir.Shl64 | Vex.Ir.Shr64 | Vex.Ir.Sar64 | Vex.Ir.CmpEQ64
-  | Vex.Ir.CmpNE64 | Vex.Ir.CmpLT64S | Vex.Ir.CmpLE64S ->
-      SNone
-
-(* ---------- statement and block loop ---------- *)
-
-exception Exit_to of int
-
-(* the client value of [e]; its shadow slot is left in [fr.esh] *)
-let rec eval st fr ~loc ~stmt_id (e : Vex.Ir.expr) : Vex.Value.t =
-  match e with
-  | Vex.Ir.RdTmp t ->
-      fr.esh <- fr.tshadow.(t);
-      fr.temps.(t)
-  | Vex.Ir.Const c ->
-      fr.esh <- SNone;
-      Vex.Value.of_const c
-  | Vex.Ir.LabelAddr l ->
-      fr.esh <- SNone;
-      Vex.Value.VI64 (Int64.of_int (Vex.Ir.block_index st.prog l))
-  | Vex.Ir.Get (off, ty) ->
-      fr.esh <- load_shadow st.thread_shadow off ty;
-      Vex.Value.read_bytes st.thread off ty
-  | Vex.Ir.Load (ty, a) ->
-      let av = eval st fr ~loc ~stmt_id a in
-      let addr = Int64.to_int (Vex.Value.as_i64 av) in
-      check_mem st addr (Vex.Ir.ty_size ty);
-      fr.esh <- load_shadow st.mem_shadow addr ty;
-      Vex.Value.read_bytes st.mem addr ty
-  | Vex.Ir.Unop (op, a) ->
-      let av = eval st fr ~loc ~stmt_id a in
-      let ash = fr.esh in
-      let v = Vex.Eval.eval_unop op av in
-      fr.esh <- shadow_unop st ~loc ~stmt_id op av ash v;
-      v
-  | Vex.Ir.Binop (op, a, b) ->
-      let av = eval st fr ~loc ~stmt_id a in
-      let ash = fr.esh in
-      let bv = eval st fr ~loc ~stmt_id b in
-      let bsh = fr.esh in
-      let v = Vex.Eval.eval_binop op av bv in
-      fr.esh <- shadow_binop st op av ash bv bsh v;
-      v
-  | Vex.Ir.ITE (g, t, e2) ->
-      let gv = eval st fr ~loc ~stmt_id g in
-      let taken = Vex.Value.as_bool gv in
-      (* an ITE guarded by a float comparison is a branch check point *)
-      (match fr.esh with
-      | SBool sb -> record_branch st ~loc ~stmt_id sb
-      | SNone | SF _ | SVec _ -> ());
-      if taken then eval st fr ~loc ~stmt_id t else eval st fr ~loc ~stmt_id e2
-
-let run_block st (bidx : int) : int =
-  let cb = st.compiled.Vex.Compile.cblocks.(bidx) in
-  (* self-ticked deadline: check the wall clock at block granularity,
-     but only once every [tick_stride] executed raw statements *)
-  (match st.tick with
-  | Some tick ->
-      if st.stmts_since_tick >= tick_stride then begin
-        tick ();
-        st.stmts_since_tick <- 0
-      end;
-      st.stmts_since_tick <- st.stmts_since_tick + cb.Vex.Compile.cb_n_raw
-  | None -> ());
-  let fr = st.frames.(bidx) in
-  let nt = Array.length fr.temps in
-  Array.blit st.temp_inits.(bidx) 0 fr.temps 0 nt;
-  Array.fill fr.tshadow 0 nt SNone;
-  (* the fast path shares the uninstrumented evaluator shape with
-     [Core.Exec]: statements that provably touch no floats skip shadow
-     plumbing entirely *)
-  let rec fast_eval (e : Vex.Ir.expr) : Vex.Value.t =
-    match e with
-    | Vex.Ir.RdTmp t -> fr.temps.(t)
-    | Vex.Ir.Const c -> Vex.Value.of_const c
-    | Vex.Ir.LabelAddr l ->
-        Vex.Value.VI64 (Int64.of_int (Vex.Ir.block_index st.prog l))
-    | Vex.Ir.Get (off, ty) -> Vex.Value.read_bytes st.thread off ty
-    | Vex.Ir.Load (ty, a) ->
-        let addr = Int64.to_int (Vex.Value.as_i64 (fast_eval a)) in
-        check_mem st addr (Vex.Ir.ty_size ty);
-        Vex.Value.read_bytes st.mem addr ty
-    | Vex.Ir.Unop (op, a) -> Vex.Eval.eval_unop op (fast_eval a)
-    | Vex.Ir.Binop (op, a, b) ->
-        Vex.Eval.eval_binop op (fast_eval a) (fast_eval b)
-    | Vex.Ir.ITE (g, t, e2) ->
-        if Vex.Value.as_bool (fast_eval g) then fast_eval t else fast_eval e2
-  in
-  let stmts = cb.Vex.Compile.cb_stmts in
-  let n = Array.length stmts in
-  let rec go i =
-    if i >= n then begin
-      st.stats.stmts_run <- st.stats.stmts_run + cb.Vex.Compile.cb_tail_w;
-      match cb.Vex.Compile.cb_next with
-      | Vex.Compile.CGoto t -> t
-      | Vex.Compile.CIndirect e -> Int64.to_int (Vex.Value.as_i64 (fast_eval e))
-      | Vex.Compile.CHalt -> -1
-    end
-    else begin
-      let c = stmts.(i) in
-      st.stats.stmts_run <- st.stats.stmts_run + c.Vex.Compile.cs_run_w;
-      st.stats.stmts_executed <- st.stats.stmts_executed + 1;
-      (match c.Vex.Compile.cs_path with
-      (* fast paths allowed by type inference *)
-      | Vex.Compile.PFast -> begin
-          match c.Vex.Compile.cs_op with
-          | Vex.Compile.CWrTmp (t, e) -> fr.temps.(t) <- fast_eval e
-          | Vex.Compile.CExit (g, target) ->
-              if Vex.Value.as_bool (fast_eval g) then raise (Exit_to target)
-          | Vex.Compile.CPut (off, e) ->
-              let v = fast_eval e in
-              Stbl.clear_range st.thread_shadow off
-                (Vex.Ir.ty_size (Vex.Value.ty_of v));
-              Vex.Value.write_bytes st.thread off v
-          | Vex.Compile.CStore (a, v) ->
-              let addr = Int64.to_int (Vex.Value.as_i64 (fast_eval a)) in
-              let value = fast_eval v in
-              check_mem st addr (Vex.Ir.ty_size (Vex.Value.ty_of value));
-              Stbl.clear_range st.mem_shadow addr
-                (Vex.Ir.ty_size (Vex.Value.ty_of value));
-              Vex.Value.write_bytes st.mem addr value
-          | Vex.Compile.CDirtyArg _ | Vex.Compile.CDirty _
-          | Vex.Compile.COut _ ->
-              assert false (* never classified fast *)
+        check_value d c ~kind:Check_output ~bits;
+        if not (Float.is_finite f) then begin
+          let fe = finding_entry d c Check_output in
+          fe.f_nonfinite_hits <- fe.f_nonfinite_hits + 1
         end
-      (* the sanitizer never restricts, so POff cannot appear in its
-         compiled programs; fold it into the shadow path defensively *)
-      | Vex.Compile.POff | Vex.Compile.PFull -> begin
-          st.stats.stmts_instrumented <- st.stats.stmts_instrumented + 1;
-          let loc = c.Vex.Compile.cs_loc in
-          let stmt_id = c.Vex.Compile.cs_id in
-          match c.Vex.Compile.cs_op with
-          | Vex.Compile.CWrTmp (t, e) ->
-              let v = eval st fr ~loc ~stmt_id e in
-              fr.temps.(t) <- v;
-              fr.tshadow.(t) <- fr.esh
-          | Vex.Compile.CPut (off, e) ->
-              let v = eval st fr ~loc ~stmt_id e in
-              store_shadow st.thread_shadow off v fr.esh;
-              Vex.Value.write_bytes st.thread off v
-          | Vex.Compile.CStore (a, ve) ->
-              let av = eval st fr ~loc ~stmt_id a in
-              let addr = Int64.to_int (Vex.Value.as_i64 av) in
-              let v = eval st fr ~loc ~stmt_id ve in
-              let sh = fr.esh in
-              check_mem st addr (Vex.Ir.ty_size (Vex.Value.ty_of v));
-              (* NSan's store check: how far has this value drifted by
-                 the time it is written back to memory? *)
-              (match (v, sh) with
-              | Vex.Value.VF64 f, SF d ->
-                  check_value st ~stmt_id ~loc ~kind:Check_store
-                    ~bits:(shadow_bits ~single:false f d)
-              | Vex.Value.VF32 f, SF d ->
-                  check_value st ~stmt_id ~loc ~kind:Check_store
-                    ~bits:(shadow_bits ~single:true f d)
-              | _ -> ());
-              store_shadow st.mem_shadow addr v sh;
-              Vex.Value.write_bytes st.mem addr v
-          | Vex.Compile.CDirtyArg (t, args) ->
-              (* a harness input: an exact dd shadow of the client value *)
-              let evaluated =
-                Array.map (fun a -> eval st fr ~loc ~stmt_id a) args
-              in
-              let k =
-                if Array.length evaluated = 1 then
-                  Vex.Value.as_f64 evaluated.(0)
-                else 0.0
-              in
-              let client = Vex.Machine.nth_input st.inputs k in
-              fr.temps.(t) <- Vex.Value.VF64 client;
-              fr.tshadow.(t) <- SF (TF.of_float client)
-          | Vex.Compile.CDirty (t, name, args) ->
-              let evaluated =
-                Array.map
-                  (fun a ->
-                    let v = eval st fr ~loc ~stmt_id a in
-                    (v, fr.esh))
-                  args
-              in
-              let fargs =
-                Array.map (fun (v, _) -> Vex.Value.as_f64 v) evaluated
-              in
-              let client = Vex.Eval.libm_apply name fargs in
-              st.stats.shadow_ops <- st.stats.shadow_ops + 1;
-              let dd_args =
-                Array.map
-                  (fun (v, sh) -> sf_of (Vex.Value.as_f64 v) sh)
-                  evaluated
-              in
-              fr.temps.(t) <- Vex.Value.VF64 client;
-              fr.tshadow.(t) <- SF (TF.libm_apply name dd_args)
-          | Vex.Compile.CExit (g, target) ->
-              let gv = eval st fr ~loc ~stmt_id g in
-              (match fr.esh with
-              | SBool sb -> record_branch st ~loc ~stmt_id sb
-              | SNone | SF _ | SVec _ -> ());
-              if Vex.Value.as_bool gv then raise (Exit_to target)
-          | Vex.Compile.COut (kind, e) ->
-              let v = eval st fr ~loc ~stmt_id e in
-              let sh = fr.esh in
-              (match kind with
-              | Vex.Ir.OutMark -> () (* user spot mark: not a program output *)
-              | Vex.Ir.OutFloat | Vex.Ir.OutInt ->
-                  st.outputs <-
-                    { Vex.Machine.stmt_id; loc; kind; value = v } :: st.outputs);
-              (match (v, sh) with
-              | (Vex.Value.VF64 f | Vex.Value.VF32 f), sh ->
-                  let single =
-                    match v with Vex.Value.VF32 _ -> true | _ -> false
-                  in
-                  let d = sf_of f sh in
-                  (* a nan output is conservatively reported at full
-                     error even when the shadow is nan too, mirroring the
-                     full engine's rule *)
-                  let bits =
-                    if Float.is_nan f then 64.0 else shadow_bits ~single f d
-                  in
-                  check_value st ~stmt_id ~loc ~kind:Check_output ~bits;
-                  if not (Float.is_finite f) then begin
-                    let fe = finding_entry st stmt_id loc Check_output in
-                    fe.f_nonfinite_hits <- fe.f_nonfinite_hits + 1
-                  end
-              | _ -> ())
-        end);
-      go (i + 1)
-    end
-  in
-  try go 0 with Exit_to target -> target
+    | _ -> ()
+end
+
+module X = SE.Make (Dom)
 
 (* ---------- results ---------- *)
 
@@ -836,21 +254,39 @@ type result = {
   sx_stats : stats;
 }
 
-let run ?mem_size ?max_steps ?inputs ?tick ?fatal (cfg : Core.Config.t)
-    (prog : Vex.Ir.prog) : result =
-  let st = create ?mem_size ?max_steps ?inputs ?fatal ?tick cfg prog in
-  Fun.protect
-    ~finally:(fun () -> release_mem st.mem st.mem_hw)
-    (fun () ->
-      let error msg = Client_error msg in
-      st.stats.blocks_run <-
-        Vex.Machine.drive ~max_steps:st.max_steps ~error st.prog
-          ~run_block:(run_block st);
+let run ?mem_size ?max_steps ?inputs ?tick ?(fatal = false)
+    (cfg : Core.Config.t) (prog : Vex.Ir.prog) : result =
+  let compiled =
+    SE.compile ~type_inference:cfg.Core.Config.type_inference prog
+  in
+  let d =
+    {
+      threshold = cfg.Core.Config.error_threshold;
+      fatal;
+      findings = Hashtbl.create 64;
+      findings_by_stmt =
+        Array.map
+          (fun (b : Vex.Ir.block) ->
+            Array.make (Array.length b.Vex.Ir.stmts) None)
+          prog.Vex.Ir.blocks;
+      shadow_ops = 0;
+      checks_run = 0;
+    }
+  in
+  let outputs, n = X.run ?mem_size ?max_steps ?inputs ?tick compiled d prog in
+  {
+    sx_findings = d.findings;
+    sx_outputs = outputs;
+    sx_stats =
       {
-        sx_findings = st.findings;
-        sx_outputs = List.rev st.outputs;
-        sx_stats = st.stats;
-      })
+        blocks_run = n.SE.blocks_run;
+        stmts_run = n.SE.stmts_run;
+        stmts_executed = n.SE.stmts_executed;
+        stmts_instrumented = n.SE.stmts_instrumented;
+        shadow_ops = d.shadow_ops;
+        checks_run = d.checks_run;
+      };
+  }
 
 let outputs r = r.sx_outputs
 

@@ -1,15 +1,13 @@
-(** The NSan-style shadow executor: runs a superblock program once,
-    shadowing every F32/F64 temporary, thread-state slot and memory slot
-    with a double-double ({!Twofloat}).
+(** The NSan-style sanitizer: the double-double ({!Twofloat}) shadow
+    domain over the shared executor {!Vex.Shadow_exec}, which owns the
+    statement loop, frames, shadow tables, deadline tick and the
+    shadow-free operator cases.
 
     Checks fire at the observable points of Courbet's NSan: memory
     stores of floats, float-to-integer casts, float comparisons whose
     verdict flips against the shadow (observed at branches), and
-    program outputs. Client semantics, the stepping loop and the
-    pre-decoded superblock stream are shared with the other engines
-    ({!Vex.Eval}, {!Vex.Machine.drive}, {!Vex.Compile}); outputs are
-    bit-identical to {!Vex.Machine.run}'s, which the fuzz transparency
-    oracle enforces. *)
+    program outputs. Outputs are bit-identical to {!Vex.Machine.run}'s,
+    which the fuzz transparency oracle enforces. *)
 
 type check_kind =
   | Check_store  (** a float stored to memory had drifted *)
@@ -40,10 +38,6 @@ type finding = {
 
 exception Fatal_finding of finding
 (** Raised mid-run in [~fatal:true] mode by the first firing check. *)
-
-exception Client_error of string
-(** Out-of-bounds memory access, jump outside the program, or an
-    exceeded step budget — same conditions as {!Vex.Machine.Client_error}. *)
 
 type stats = {
   mutable blocks_run : int;
@@ -76,7 +70,8 @@ val run :
     [fatal] makes the first firing check raise {!Fatal_finding} instead
     of resuming; [tick] is the batch drivers' deadline hook, called by
     the executor at block granularity at most once per 1024 executed raw
-    statements, as in {!Core.Exec.run}. *)
+    statements, as in {!Core.Exec.run}. Client faults raise
+    {!Vex.Machine.Client_error}. *)
 
 val outputs : result -> Vex.Machine.output list
 (** Everything the program printed, oldest first. *)

@@ -63,7 +63,7 @@ let refresh_locked (t : t) : unit =
                 String.split_on_char '\n' (String.sub s 0 last)
                 |> List.iter (fun line ->
                        if String.trim line <> "" then
-                         match Fleet.Json.of_string line with
+                         match Json.of_string line with
                          | j -> (
                              let o = Fleet.Store.outcome_of_json j in
                              match o.Fleet.o_status with
@@ -97,7 +97,7 @@ let publish (t : t) (o : Fleet.outcome) : unit =
   match o.Fleet.o_status with
   | Fleet.Done when o.Fleet.o_key <> "" ->
       let line =
-        Fleet.Json.to_string (Fleet.Store.outcome_to_json o) ^ "\n"
+        Json.to_string (Fleet.Store.outcome_to_json o) ^ "\n"
       in
       let fd =
         Unix.openfile t.path

@@ -315,13 +315,13 @@ let text_response ?(headers = []) status body =
   response ~headers:(("content-type", "text/plain; charset=utf-8") :: headers)
     status body
 
-let json_response ?(headers = []) status (j : Fleet.Json.t) =
+let json_response ?(headers = []) status (j : Json.t) =
   response ~headers:(("content-type", "application/json") :: headers)
     status
-    (Fleet.Json.to_string j ^ "\n")
+    (Json.to_string j ^ "\n")
 
 let error_response ?headers status msg =
-  json_response ?headers status (Fleet.Json.Obj [ ("error", Fleet.Json.Str msg) ])
+  json_response ?headers status (Json.Obj [ ("error", Json.Str msg) ])
 
 let response_string ?(keep_alive = false) (r : response) : string =
   let buf = Buffer.create (256 + String.length r.rs_body) in

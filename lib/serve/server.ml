@@ -553,24 +553,24 @@ let fuzz_spec (rq : Http.request) ~timeout : Fleet.spec =
             | Fuzz.Campaign.Error msg -> ("error", msg)
             | Fuzz.Campaign.Passed | Fuzz.Campaign.Skipped _ -> ("", "")
           in
-          Fleet.Json.Obj
+          Json.Obj
             [
-              ("index", Fleet.Json.Num (float_of_int e.Fuzz.Campaign.e_index));
-              ("digest", Fleet.Json.Str e.Fuzz.Campaign.e_digest);
-              ("oracle", Fleet.Json.Str oracle);
-              ("detail", Fleet.Json.Str detail);
+              ("index", Json.Num (float_of_int e.Fuzz.Campaign.e_index));
+              ("digest", Json.Str e.Fuzz.Campaign.e_digest);
+              ("oracle", Json.Str oracle);
+              ("detail", Json.Str detail);
             ])
         failures
     in
     let json =
-      Fleet.Json.Obj
+      Json.Obj
         [
-          ("seed", Fleet.Json.Num (float_of_int seed));
-          ("iters", Fleet.Json.Num (float_of_int iters));
-          ("passed", Fleet.Json.Num (float_of_int passed));
-          ("skipped", Fleet.Json.Num (float_of_int skipped));
-          ("divergent", Fleet.Json.Num (float_of_int (List.length failures)));
-          ("failures", Fleet.Json.Arr entries);
+          ("seed", Json.Num (float_of_int seed));
+          ("iters", Json.Num (float_of_int iters));
+          ("passed", Json.Num (float_of_int passed));
+          ("skipped", Json.Num (float_of_int skipped));
+          ("divergent", Json.Num (float_of_int (List.length failures)));
+          ("failures", Json.Arr entries);
         ]
     in
     {
@@ -592,7 +592,7 @@ let fuzz_spec (rq : Http.request) ~timeout : Fleet.spec =
       p_summary =
         Printf.sprintf "fuzz seed %d: %d programs, %d divergent, %d skipped"
           seed iters (List.length failures) skipped;
-      p_report = Fleet.Json.to_string json;
+      p_report = Json.to_string json;
       p_regime = None;
     }
   in
@@ -756,8 +756,8 @@ let shard_restarts t : int =
             (fun () -> really_input_string ic (in_channel_length ic))
         with
         | src -> (
-            match Fleet.Json.of_string (String.trim src) with
-            | j -> Fleet.Json.get_int "restarts" j
+            match Json.of_string (String.trim src) with
+            | j -> Json.get_int "restarts" j
             | exception _ -> 0)
         | exception Sys_error _ -> 0)
 

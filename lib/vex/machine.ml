@@ -132,31 +132,26 @@ let run_block st (bidx : int) : int =
   in
   try go 0 with Exit_to target -> target
 
-(* The superblock stepping loop shared by every engine (this machine, the
-   full instrumented interpreter, and the sanitizer): start at the entry
-   block, follow the indices [run_block] returns, stop at -1. [error]
-   builds each engine's own exception for jumps outside the program and
-   an exceeded step budget; [tick] is the batch drivers' deadline hook,
-   called once per superblock. Returns the number of superblocks run. *)
-let drive ?(max_steps = max_int) ?tick ~(error : string -> exn)
-    (prog : Ir.prog) ~(run_block : int -> int) : int =
+(* The superblock stepping loop shared by every engine (this machine and
+   the shadow executor): start at the entry block, follow the indices
+   [run_block] returns, stop at -1. Returns the number of superblocks
+   run. *)
+let drive ?(max_steps = max_int) (prog : Ir.prog) ~(run_block : int -> int) :
+    int =
   let bidx = ref prog.Ir.entry in
   let steps = ref 0 in
   while !bidx >= 0 do
     if !bidx >= Array.length prog.Ir.blocks then
-      raise (error (Printf.sprintf "jump out of program: %d" !bidx));
+      raise (Client_error (Printf.sprintf "jump out of program: %d" !bidx));
     incr steps;
-    if !steps > max_steps then raise (error "step budget exceeded");
-    (match tick with Some f -> f () | None -> ());
+    if !steps > max_steps then raise (Client_error "step budget exceeded");
     bidx := run_block !bidx
   done;
   !steps
 
 let run ?mem_size ?max_steps ?inputs prog =
   let st = create ?mem_size ?max_steps ?inputs prog in
-  let error msg = Client_error msg in
-  st.steps <-
-    drive ~max_steps:st.max_steps ~error st.prog ~run_block:(run_block st);
+  st.steps <- drive ~max_steps:st.max_steps st.prog ~run_block:(run_block st);
   st
 
 let outputs st = List.rev st.outputs

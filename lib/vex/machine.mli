@@ -30,20 +30,15 @@ val run :
   ?mem_size:int -> ?max_steps:int -> ?inputs:float array -> Ir.prog -> state
 (** Run the program from its entry block until it halts. *)
 
-val drive :
-  ?max_steps:int ->
-  ?tick:(unit -> unit) ->
-  error:(string -> exn) ->
-  Ir.prog ->
-  run_block:(int -> int) ->
-  int
+val drive : ?max_steps:int -> Ir.prog -> run_block:(int -> int) -> int
 (** The superblock stepping loop shared by every execution engine: start
     at the program's entry block, repeatedly call [run_block] with the
     current block index and follow the index it returns, halt at -1.
-    Raises [error "jump out of program: N"] on an out-of-range index and
-    [error "step budget exceeded"] past [max_steps]; [tick] runs once per
-    superblock (batch drivers raise from it to enforce deadlines).
-    Returns the number of superblocks run. *)
+    Raises [Client_error "jump out of program: N"] on an out-of-range
+    index and [Client_error "step budget exceeded"] past [max_steps].
+    Returns the number of superblocks run. Deadlines are not checked
+    here: the shadow executor ({!Shadow_exec}) ticks itself inside
+    [run_block], once per 1024 executed raw statements. *)
 
 val run_block : state -> int -> int
 (** Execute one superblock; returns the next block index, -1 to halt. *)

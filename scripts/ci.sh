@@ -18,25 +18,28 @@ dune exec bin/fpgrind_cli.exe -- suite \
 
 dune exec bin/fpgrind_cli.exe -- validate "$out"
 
-# Compile-cache smoke: the same suite twice in one process. The second
-# pass must decode zero new superblocks (every program served from the
-# compiled-block cache) and produce byte-identical records modulo wall
-# time. FPGRIND_SUITE_PASSES / FPGRIND_COMPILE_STATS are the env hooks
-# the suite command exposes for exactly this check.
+# Compile-cache smoke, once per engine (each drives the shared shadow
+# executor differently): the same suite twice in one process. The
+# second pass must decode zero new superblocks (every program served
+# from the compiled-block cache) and produce byte-identical records
+# modulo wall time. FPGRIND_SUITE_PASSES / FPGRIND_COMPILE_STATS are the
+# env hooks the suite command exposes for exactly this check.
 cc_store="$(mktemp /tmp/fpgrind-ci-cc.XXXXXX.jsonl)"
 cc_stats="$(mktemp /tmp/fpgrind-ci-cc.XXXXXX.stats)"
 trap 'rm -f "$out" "$cc_store" "$cc_store.pass2" "$cc_stats"' EXIT
-rm -f "$cc_store"
-FPGRIND_SUITE_PASSES=2 FPGRIND_COMPILE_STATS=1 \
-  dune exec bin/fpgrind_cli.exe -- suite \
-  intro-example nmse-3-1 verhulst midpoint-naive logistic-map newton-sqrt \
-  -j 2 --timeout 60 --precision 128 --iterations 4 \
-  --json "$cc_store" --no-cache --quiet 2>"$cc_stats"
-jq -s -e '(.[1].blocks_compiled == .[0].blocks_compiled)
-          and (.[1].cache_hits > .[0].cache_hits)' "$cc_stats" >/dev/null \
-  || { echo "ci: second suite pass missed the compile cache"; cat "$cc_stats"; exit 1; }
-cmp <(jq -cS 'del(.wall_s)' "$cc_store") <(jq -cS 'del(.wall_s)' "$cc_store.pass2") \
-  || { echo "ci: compile-cache pass records diverged"; exit 1; }
+for engine in full sanitize tiered; do
+  rm -f "$cc_store" "$cc_store.pass2"
+  FPGRIND_SUITE_PASSES=2 FPGRIND_COMPILE_STATS=1 \
+    dune exec bin/fpgrind_cli.exe -- suite \
+    intro-example nmse-3-1 verhulst midpoint-naive logistic-map newton-sqrt \
+    -j 2 --timeout 60 --precision 128 --iterations 4 --engine "$engine" \
+    --json "$cc_store" --no-cache --quiet 2>"$cc_stats"
+  jq -s -e '(.[1].blocks_compiled == .[0].blocks_compiled)
+            and (.[1].cache_hits > .[0].cache_hits)' "$cc_stats" >/dev/null \
+    || { echo "ci: second $engine suite pass missed the compile cache"; cat "$cc_stats"; exit 1; }
+  cmp <(jq -cS 'del(.wall_s)' "$cc_store") <(jq -cS 'del(.wall_s)' "$cc_store.pass2") \
+    || { echo "ci: $engine compile-cache pass records diverged"; exit 1; }
+done
 rm -f "$cc_store" "$cc_store.pass2" "$cc_stats"
 trap 'rm -f "$out"' EXIT
 

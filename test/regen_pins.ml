@@ -9,10 +9,10 @@
    a suite extension may only *append/insert* records, never change
    existing ones. *)
 
-let rec scrub (j : Fleet.Json.t) : Fleet.Json.t =
+let rec scrub (j : Json.t) : Json.t =
   match j with
-  | Fleet.Json.Obj kvs ->
-      Fleet.Json.Obj
+  | Json.Obj kvs ->
+      Json.Obj
         (List.filter_map
            (fun (k, v) ->
              if
@@ -21,11 +21,11 @@ let rec scrub (j : Fleet.Json.t) : Fleet.Json.t =
              then None
              else Some (k, scrub v))
            kvs)
-  | Fleet.Json.Arr xs -> Fleet.Json.Arr (List.map scrub xs)
+  | Json.Arr xs -> Json.Arr (List.map scrub xs)
   | x -> x
 
 let canon (o : Fleet.outcome) : string =
-  Fleet.Json.to_string (scrub (Fleet.Store.outcome_to_json o))
+  Json.to_string (scrub (Fleet.Store.outcome_to_json o))
 
 let engines =
   [

@@ -13,10 +13,10 @@
    produced must match exactly; only the new observability fields and
    the clock are allowed to differ. *)
 
-let rec scrub (j : Fleet.Json.t) : Fleet.Json.t =
+let rec scrub (j : Json.t) : Json.t =
   match j with
-  | Fleet.Json.Obj kvs ->
-      Fleet.Json.Obj
+  | Json.Obj kvs ->
+      Json.Obj
         (List.filter_map
            (fun (k, v) ->
              if
@@ -25,11 +25,11 @@ let rec scrub (j : Fleet.Json.t) : Fleet.Json.t =
              then None
              else Some (k, scrub v))
            kvs)
-  | Fleet.Json.Arr xs -> Fleet.Json.Arr (List.map scrub xs)
+  | Json.Arr xs -> Json.Arr (List.map scrub xs)
   | x -> x
 
 let canon (o : Fleet.outcome) : string =
-  Fleet.Json.to_string (scrub (Fleet.Store.outcome_to_json o))
+  Json.to_string (scrub (Fleet.Store.outcome_to_json o))
 
 let read_lines path =
   let ic = open_in path in

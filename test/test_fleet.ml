@@ -122,7 +122,7 @@ let test_json_roundtrip () =
   let check_roundtrip (o : Fleet.outcome) =
     let o' =
       Fleet.Store.outcome_of_json
-        (Fleet.Json.of_string (Fleet.Json.to_string (Fleet.Store.outcome_to_json o)))
+        (Json.of_string (Json.to_string (Fleet.Store.outcome_to_json o)))
     in
     Alcotest.(check string) "name" o.Fleet.o_name o'.Fleet.o_name;
     Alcotest.(check string) "key" o.Fleet.o_key o'.Fleet.o_key;

@@ -132,7 +132,7 @@ let test_clean_close_is_distinguished () =
 let test_response_roundtrip () =
   let resp =
     Http.json_response 200
-      (Fleet.Json.Obj [ ("name", Fleet.Json.Str "intro-example") ])
+      (Json.Obj [ ("name", Json.Str "intro-example") ])
   in
   let status, headers, body =
     Http.read_response (Http.reader_of_string (Http.response_string resp))

@@ -251,14 +251,14 @@ let test_live_run () =
       (* the report JSON carries the latency story *)
       let j = Loadgen.to_json cfg r in
       let lat =
-        match Fleet.Json.member "latency_ms" j with
-        | Some (Fleet.Json.Obj kvs) -> kvs
+        match Json.member "latency_ms" j with
+        | Some (Json.Obj kvs) -> kvs
         | _ -> Alcotest.fail "latency_ms missing"
       in
       List.iter
         (fun k ->
           match List.assoc_opt k lat with
-          | Some (Fleet.Json.Num v) ->
+          | Some (Json.Num v) ->
               Alcotest.(check bool) (k ^ " positive") true (v > 0.0)
           | _ -> Alcotest.fail (k ^ " missing"))
         [ "p50"; "p90"; "p99"; "mean"; "max" ])

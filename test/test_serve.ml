@@ -131,10 +131,10 @@ let test_store_midfile_corruption_still_raises () =
       let oc = open_out path in
       output_string oc "{\"name\": \"torn\n";
       output_string oc
-        (Fleet.Json.to_string (Fleet.Store.outcome_to_json (outcome "a")) ^ "\n");
+        (Json.to_string (Fleet.Store.outcome_to_json (outcome "a")) ^ "\n");
       close_out oc;
       match Fleet.Store.load_lenient path with
-      | exception (Fleet.Json.Parse_error _ | Failure _) -> ()
+      | exception (Json.Parse_error _ | Failure _) -> ()
       | _ -> Alcotest.fail "mid-file corruption must not be skipped")
 
 (* ---------- deterministic pool backpressure ---------- *)
@@ -200,10 +200,10 @@ let start_server cfg =
   let th = Thread.create Server.run srv in
   (srv, th, Server.port srv)
 
-let strip_volatile (j : Fleet.Json.t) : Fleet.Json.t =
+let strip_volatile (j : Json.t) : Json.t =
   match j with
-  | Fleet.Json.Obj kvs ->
-      Fleet.Json.Obj (List.filter (fun (k, _) -> k <> "wall_s") kvs)
+  | Json.Obj kvs ->
+      Json.Obj (List.filter (fun (k, _) -> k <> "wall_s") kvs)
   | j -> j
 
 let get port path = Client.request ~port ~meth:"GET" ~path ()
@@ -257,17 +257,17 @@ let test_server_end_to_end () =
       let local = Fleet.exec_one (Fleet.bench_spec ~cfg job) in
       Alcotest.(check string)
         "response equals the engine's record (modulo wall_s)"
-        (Fleet.Json.to_string
+        (Json.to_string
            (strip_volatile (Fleet.Store.outcome_to_json local)))
-        (Fleet.Json.to_string
-           (strip_volatile (Fleet.Json.of_string (String.trim r.Client.c_body))));
+        (Json.to_string
+           (strip_volatile (Json.of_string (String.trim r.Client.c_body))));
       (* the repeat is a cache hit *)
       let r2 = post port q "bench:intro-example" in
       Alcotest.(check int) "cached status" 200 r2.Client.c_status;
       Alcotest.(check string)
         "cached marker" "cached"
-        (Fleet.Json.get_str "status"
-           (Fleet.Json.of_string (String.trim r2.Client.c_body)));
+        (Json.get_str "status"
+           (Json.of_string (String.trim r2.Client.c_body)));
       (* ad-hoc sources compile and analyze *)
       let r =
         post port "/analyze?precision=64&name=tiny.mc"
@@ -288,8 +288,8 @@ let test_server_end_to_end () =
       Alcotest.(check int) "sanitize status" 200 r.Client.c_status;
       Alcotest.(check string)
         "sanitize engine tag" "sanitize"
-        (Fleet.Json.get_str "engine"
-           (Fleet.Json.of_string (String.trim r.Client.c_body)));
+        (Json.get_str "engine"
+           (Json.of_string (String.trim r.Client.c_body)));
       Alcotest.(check int)
         "bad engine name" 400
         (post port "/analyze?engine=quad" "bench:intro-example").Client.c_status;
@@ -411,17 +411,17 @@ let test_server_keepalive () =
           let local = Fleet.exec_one (Fleet.bench_spec ~cfg job) in
           Alcotest.(check string)
             "keep-alive response equals the engine's record (modulo wall_s)"
-            (Fleet.Json.to_string
+            (Json.to_string
                (strip_volatile (Fleet.Store.outcome_to_json local)))
-            (Fleet.Json.to_string
+            (Json.to_string
                (strip_volatile
-                  (Fleet.Json.of_string (String.trim r.Client.c_body))));
+                  (Json.of_string (String.trim r.Client.c_body))));
           (* the repeat on the same connection is a cache hit *)
           let r2 = req "POST" q ~body:"bench:intro-example" in
           Alcotest.(check string)
             "second request on the same connection is cached" "cached"
-            (Fleet.Json.get_str "status"
-               (Fleet.Json.of_string (String.trim r2.Client.c_body)));
+            (Json.get_str "status"
+               (Json.of_string (String.trim r2.Client.c_body)));
           (* the scrape sees exactly one open connection: ours *)
           let m = (req "GET" "/metrics").Client.c_body in
           Alcotest.(check bool)
@@ -631,28 +631,28 @@ let test_server_regimes () =
       (* plain analysis first: no regime fields on the record *)
       let plain = post port q "bench:quadratic-full" in
       Alcotest.(check int) "plain status" 200 plain.Client.c_status;
-      let pj = Fleet.Json.of_string (String.trim plain.Client.c_body) in
+      let pj = Json.of_string (String.trim plain.Client.c_body) in
       Alcotest.(check bool)
         "plain record has no regime fields" true
-        (Fleet.Json.member "regimes" pj = None);
+        (Json.member "regimes" pj = None);
       (* regime-annotated analysis is a distinct cache entry, not a hit *)
       let r = post port (q ^ "&regimes=1") "bench:quadratic-full" in
       Alcotest.(check int) "regimes status" 200 r.Client.c_status;
-      let j = Fleet.Json.of_string (String.trim r.Client.c_body) in
+      let j = Json.of_string (String.trim r.Client.c_body) in
       Alcotest.(check string)
         "regime run is fresh, not the plain cache entry" "ok"
-        (Fleet.Json.get_str "status" j);
+        (Json.get_str "status" j);
       Alcotest.(check bool)
         "quadratic-full branches into >= 2 regimes" true
-        (Fleet.Json.get_int "regimes" j >= 2);
+        (Json.get_int "regimes" j >= 2);
       Alcotest.(check bool)
         "thresholds present" true
-        (match Fleet.Json.member "thresholds" j with
-        | Some (Fleet.Json.Arr (_ :: _)) -> true
+        (match Json.member "thresholds" j with
+        | Some (Json.Arr (_ :: _)) -> true
         | _ -> false);
       Alcotest.(check bool)
         "error table rendered" true
-        (String.length (Fleet.Json.get_str "error_table" j) > 0);
+        (String.length (Json.get_str "error_table" j) > 0);
       (* record round-trips through the store parser with regime intact *)
       let o = Fleet.Store.outcome_of_json j in
       (match o.Fleet.o_payload with

@@ -243,6 +243,92 @@ let clean_program_never_escalates () =
   checks "clean report" "No floating-point problems found.\n"
     (Tiered.report_string t)
 
+(* ---------- failure paths, under every entry to the shadow executor ---------- *)
+
+exception Deadline
+
+(* one block computing a float from [load], storing it, printing it, and
+   continuing at [next] *)
+let fault_prog ?(addr = 0L) ?(store_at = 8L) next =
+  let open Vex.Ir in
+  make_prog
+    [
+      {
+        label = "entry";
+        temp_tys = [| F64; F64 |];
+        stmts =
+          [|
+            WrTmp (0, Load (F64, Const (CI64 addr)));
+            WrTmp (1, Binop (AddF64, RdTmp 0, Const (CF64 0.5)));
+            Store (Const (CI64 store_at), RdTmp 1);
+            Out (OutFloat, RdTmp 1);
+          |];
+        next;
+      };
+    ]
+
+let out_of_bounds = Vex.Machine.default_mem_size
+
+let fault_cases =
+  [
+    ( "out-of-bounds load",
+      fault_prog ~addr:(Int64.of_int out_of_bounds) Vex.Ir.Halt,
+      None,
+      Vex.Machine.Client_error
+        (Printf.sprintf "memory access out of bounds: %d" out_of_bounds) );
+    ( "out-of-bounds store",
+      fault_prog ~store_at:(Int64.of_int out_of_bounds) Vex.Ir.Halt,
+      None,
+      Vex.Machine.Client_error
+        (Printf.sprintf "memory access out of bounds: %d" out_of_bounds) );
+    ( "jump out of the program",
+      fault_prog (Vex.Ir.IndirectGoto (Vex.Ir.Const (Vex.Ir.CI64 7L))),
+      None,
+      Vex.Machine.Client_error "jump out of program: 7" );
+    ( "exceeded max_steps",
+      fault_prog (Vex.Ir.Goto "entry"),
+      Some 5,
+      Vex.Machine.Client_error "step budget exceeded" );
+    (* a one-block program finishes inside one tick stride, so only a
+       check on the first block can fire *)
+    ("expired tick fires on the first block", fault_prog Vex.Ir.Halt, None, Deadline);
+  ]
+
+let failure_paths () =
+  let engines =
+    [
+      ("full", fun ?max_steps ?tick p -> ignore (Core.Exec.run ?max_steps ?tick cfg p));
+      ( "full, off-slice",
+        fun ?max_steps ?tick p ->
+          ignore (Core.Exec.run ?max_steps ?tick ~restrict:(fun _ -> false) cfg p) );
+      ("sanitize", fun ?max_steps ?tick p -> ignore (Sanitize.Sexec.run ?max_steps ?tick cfg p));
+      ( "tiered",
+        fun ?max_steps ?tick p ->
+          ignore (Tiered.analyze ~cfg:tiered_cfg ?max_steps ?tick p) );
+    ]
+  in
+  List.iter
+    (fun (case, prog, max_steps, expected) ->
+      List.iter
+        (fun (engine, run) ->
+          let ticks = ref 0 in
+          let tick =
+            if expected = Deadline then
+              Some
+                (fun () ->
+                  incr ticks;
+                  raise Deadline)
+            else None
+          in
+          Alcotest.check_raises
+            (Printf.sprintf "%s under %s" case engine)
+            expected
+            (fun () -> run ?max_steps ?tick prog);
+          if expected = Deadline then
+            checki (engine ^ ": one tick") 1 !ticks)
+        engines)
+    fault_cases
+
 let () =
   Alcotest.run "tiered"
     [
@@ -266,5 +352,7 @@ let () =
             report_identical_to_full;
           Alcotest.test_case "clean program never escalates" `Quick
             clean_program_never_escalates;
+          Alcotest.test_case "failure paths under every engine" `Quick
+            failure_paths;
         ] );
     ]
