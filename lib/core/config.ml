@@ -52,6 +52,20 @@ let default =
     engine = Full;
   }
 
+(* Shadow precisions accepted from outside the program (CLI flags,
+   query parameters): below a double's 53 bits the shadow is no longer
+   a higher-precision reference, and the top bounds one request's
+   bignum cost. *)
+let min_precision = 53
+let max_precision = 65536
+
+let check_precision p =
+  if p < min_precision || p > max_precision then
+    Error
+      (Printf.sprintf "precision %d out of range [%d, %d]" p min_precision
+         max_precision)
+  else Ok p
+
 (* a cheaper configuration for unit tests *)
 let fast = { default with precision = 128 }
 

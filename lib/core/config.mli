@@ -47,6 +47,11 @@ type t = {
 val default : t
 (** The paper's configuration. *)
 
+val check_precision : int -> (int, string) result
+(** The one range check on a [precision] taken from outside the program
+    (CLI flags, server query parameters): [Ok p] for p in \[53, 65536\],
+    otherwise [Error "precision P out of range [53, 65536]"]. *)
+
 val fast : t
 (** [default] at 128-bit precision, for tests. *)
 

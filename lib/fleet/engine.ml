@@ -357,9 +357,7 @@ let max_output_err (r : Core.Analysis.result) =
    domain's trace-node counters (logical creations and actual
    materializations) captured before the analysis ran, so
    [m_trace_nodes] / [m_traces_materialized] are the deltas this job
-   created; their gap is the lazy-trace saving. Shared by [bench_spec]
-   and by ad-hoc job builders (the serve subsystem) so a source analyzed
-   over HTTP yields the same record as the batch path. *)
+   created; their gap is the lazy-trace saving. *)
 let payload_for ~name ~group ~nodes0 ~mat0 (r : Core.Analysis.result) :
     payload =
   let st = r.Core.Analysis.raw.Core.Exec.r_stats in
@@ -490,8 +488,29 @@ let tiered_payload_for ~name ~group ~nodes0 ~mat0 (r : Tiered.result) :
         p_regime = None;
       }
 
-let bench_spec ?(cfg = Core.Config.default) ?(max_steps = 200_000_000)
-    (j : Fpcore.Suite.job) : spec =
+(* The one engine dispatch: run [prog] under [cfg]'s engine and build
+   that engine's payload. Batch jobs ([bench_spec]) and the serve
+   subsystem's ad-hoc sources both come through here, so a program
+   yields the same record whichever front door it arrived by. *)
+let analyze ~cfg ?(max_steps = 200_000_000) ~inputs ~tick ~name ~group prog :
+    payload =
+  match cfg.Core.Config.engine with
+  | Core.Config.Full ->
+      let nodes0 = Core.Trace.created_in_domain () in
+      let mat0 = Core.Trace.materialized_in_domain () in
+      let r = Core.Analysis.analyze ~cfg ~max_steps ~inputs ~tick prog in
+      payload_for ~name ~group ~nodes0 ~mat0 r
+  | Core.Config.Sanitize ->
+      let r = Sanitize.Sexec.run ~max_steps ~inputs ~tick cfg prog in
+      san_payload_for ~name ~group r
+  | Core.Config.Tiered ->
+      let nodes0 = Core.Trace.created_in_domain () in
+      let mat0 = Core.Trace.materialized_in_domain () in
+      let r = Tiered.analyze ~cfg ~max_steps ~inputs ~tick prog in
+      tiered_payload_for ~name ~group ~nodes0 ~mat0 r
+
+let bench_spec ?(cfg = Core.Config.default) ?max_steps (j : Fpcore.Suite.job) :
+    spec =
   let b = j.Fpcore.Suite.job_bench in
   let iters = j.Fpcore.Suite.job_iterations in
   let work ~tick =
@@ -502,22 +521,8 @@ let bench_spec ?(cfg = Core.Config.default) ?(max_steps = 200_000_000)
     let prog =
       Fpcore.Compile.compile ~n_inputs:iters ~name:b.Fpcore.Suite.name core
     in
-    match cfg.Core.Config.engine with
-    | Core.Config.Full ->
-        let nodes0 = Core.Trace.created_in_domain () in
-        let mat0 = Core.Trace.materialized_in_domain () in
-        let r = Core.Analysis.analyze ~cfg ~max_steps ~inputs ~tick prog in
-        payload_for ~name:b.Fpcore.Suite.name ~group:(group_name b) ~nodes0
-          ~mat0 r
-    | Core.Config.Sanitize ->
-        let r = Sanitize.Sexec.run ~max_steps ~inputs ~tick cfg prog in
-        san_payload_for ~name:b.Fpcore.Suite.name ~group:(group_name b) r
-    | Core.Config.Tiered ->
-        let nodes0 = Core.Trace.created_in_domain () in
-        let mat0 = Core.Trace.materialized_in_domain () in
-        let r = Tiered.analyze ~cfg ~max_steps ~inputs ~tick prog in
-        tiered_payload_for ~name:b.Fpcore.Suite.name ~group:(group_name b)
-          ~nodes0 ~mat0 r
+    analyze ~cfg ?max_steps ~inputs ~tick ~name:b.Fpcore.Suite.name
+      ~group:(group_name b) prog
   in
   {
     sp_name = b.Fpcore.Suite.name;

@@ -371,17 +371,9 @@ let create (cfg : config) : t =
     }
   in
   install_observer t;
-  (* materialize the unlabeled torn-records series so a clean server
-     still renders the counter at 0 *)
-  Metrics.inc ~by:0.0 t.m_store_torn [];
-  Metrics.inc ~by:0.0 t.m_blocks_compiled [];
-  Metrics.inc ~by:0.0 t.m_compile_hits [];
-  Metrics.inc ~by:0.0 t.m_ratelimited [];
   t
 
 (* ---------- building analysis jobs from request bodies ---------- *)
-
-let max_steps = 200_000_000 (* same budget as Fleet.bench_spec *)
 
 (* [engine] comes from the query on /analyze and is forced by the
    /sanitize endpoint; either way it lands in the config, so the cache
@@ -395,8 +387,7 @@ let cfg_of_query ?engine rq : Core.Config.t =
     Router.q_float rq "threshold"
       ~default:Core.Config.default.Core.Config.error_threshold
   in
-  if precision < 53 || precision > 65536 then
-    Http.fail 400 (Printf.sprintf "precision %d out of range [53, 65536]" precision);
+  Result.iter_error (Http.fail 400) (Core.Config.check_precision precision);
   let engine =
     match engine with
     | Some e -> e
@@ -495,22 +486,7 @@ let analyze_spec ?engine (rq : Http.request) : Fleet.spec =
         | prog -> ("minic", prog)
         | exception Minic.Compile_error msg -> Http.fail 400 msg
     in
-    let work ~tick =
-      match cfg.Core.Config.engine with
-      | Core.Config.Full ->
-          let nodes0 = Core.Trace.created_in_domain () in
-          let mat0 = Core.Trace.materialized_in_domain () in
-          let r = Core.Analysis.analyze ~cfg ~max_steps ~inputs ~tick prog in
-          Fleet.payload_for ~name ~group:kind ~nodes0 ~mat0 r
-      | Core.Config.Sanitize ->
-          let r = Sanitize.Sexec.run ~max_steps ~inputs ~tick cfg prog in
-          Fleet.san_payload_for ~name ~group:kind r
-      | Core.Config.Tiered ->
-          let nodes0 = Core.Trace.created_in_domain () in
-          let mat0 = Core.Trace.materialized_in_domain () in
-          let r = Tiered.analyze ~cfg ~max_steps ~inputs ~tick prog in
-          Fleet.tiered_payload_for ~name ~group:kind ~nodes0 ~mat0 r
-    in
+    let work ~tick = Fleet.analyze ~cfg ~inputs ~tick ~name ~group:kind prog in
     {
       Fleet.sp_name = name;
       sp_group = kind;

@@ -8,6 +8,14 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
+# Every subcommand stays registered: one dropped from the Cmd.group
+# fails its --help here.
+for cmd in analyze sanitize run suite validate list-benchmarks improve \
+  fuzz campaign serve client loadgen; do
+  _build/default/bin/fpgrind_cli.exe "$cmd" --help=plain >/dev/null \
+    || { echo "ci: fpgrind $cmd --help failed"; exit 1; }
+done
+
 out="$(mktemp /tmp/fpgrind-ci.XXXXXX.jsonl)"
 trap 'rm -f "$out"' EXIT
 

@@ -76,20 +76,7 @@ let tick () = ()
 
 let fuzz_payload engine ~name prog inputs : Fleet.payload =
   let cfg = { Core.Config.default with Core.Config.engine } in
-  match engine with
-  | Core.Config.Full ->
-      let nodes0 = Core.Trace.created_in_domain () in
-      let mat0 = Core.Trace.materialized_in_domain () in
-      let r = Core.Analysis.analyze ~cfg ~max_steps ~inputs ~tick prog in
-      Fleet.payload_for ~name ~group:"fuzz" ~nodes0 ~mat0 r
-  | Core.Config.Sanitize ->
-      let r = Sanitize.Sexec.run ~max_steps ~inputs ~tick cfg prog in
-      Fleet.san_payload_for ~name ~group:"fuzz" r
-  | Core.Config.Tiered ->
-      let nodes0 = Core.Trace.created_in_domain () in
-      let mat0 = Core.Trace.materialized_in_domain () in
-      let r = Tiered.analyze ~cfg ~max_steps ~inputs ~tick prog in
-      Fleet.tiered_payload_for ~name ~group:"fuzz" ~nodes0 ~mat0 r
+  Fleet.analyze ~cfg ~max_steps ~inputs ~tick ~name ~group:"fuzz" prog
 
 let fuzz_digest (tag, engine) ~name prog inputs : string =
   match fuzz_payload engine ~name prog inputs with

@@ -338,6 +338,17 @@ let test_server_end_to_end () =
         (has "fpgrind_active_connections 1");
       Alcotest.(check bool) "rate-limit counter materialized" true
         (has "fpgrind_ratelimited_total 0");
+      (* unlabeled counters render a sample line from registration on *)
+      List.iter
+        (fun fam ->
+          Alcotest.(check bool) (fam ^ " sample line") true
+            (has ("\n" ^ fam ^ " ")))
+        [
+          "fpgrind_store_torn_records_total";
+          "fpgrind_blocks_compiled_total";
+          "fpgrind_compile_cache_hits_total";
+          "fpgrind_ratelimited_total";
+        ];
       Alcotest.(check bool) "shard restarts gauge" true
         (has "fpgrind_shard_restarts_total 0");
       (* the request-latency histogram renders cumulative buckets:
@@ -682,6 +693,55 @@ let test_suite_strict_exit_codes () =
     (run_cli (base ^ " --strict"));
   Alcotest.(check int) "timeouts pass without --strict" 0 (run_cli base)
 
+(* bad user input is an "error:" line and exit 1, not an escaped
+   exception (cmdliner's exit 125) *)
+let test_user_error_exit_codes () =
+  let fpcore src =
+    let path = Filename.temp_file "serve_cli" ".fpcore" in
+    let oc = open_out path in
+    output_string oc src;
+    close_out oc;
+    path
+  in
+  let unterminated = fpcore "(FPCore (x) (+ x 1)\n" in
+  let unbound = fpcore "(FPCore (x) (+ x y))\n" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ unterminated; unbound ])
+    (fun () ->
+      List.iter
+        (fun args -> Alcotest.(check int) args 1 (run_cli args))
+        [
+          "analyze bench:nope";
+          "run bench:nope";
+          "sanitize bench:nope";
+          "analyze " ^ unterminated;
+          "run " ^ unterminated;
+          "analyze " ^ unbound;
+        ])
+
+(* a --precision outside the server's accepted range is refused while
+   the command line is parsed: nonzero exit, and no job ran *)
+let test_precision_bounds () =
+  let out = Filename.temp_file "serve_cli" ".jsonl" in
+  Sys.remove out;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists out then Sys.remove out)
+    (fun () ->
+      List.iter
+        (fun p ->
+          let args =
+            Printf.sprintf
+              "suite intro-example --iterations 1 --quiet --precision %d \
+               --json %s"
+              p out
+          in
+          Alcotest.(check bool) (args ^ " fails") true (run_cli args <> 0);
+          Alcotest.(check bool) "no results written" false (Sys.file_exists out))
+        [ 0; 10; 70000 ];
+      Alcotest.(check bool)
+        "analyze --precision 10 fails" true
+        (run_cli "analyze bench:intro-example --precision 10" <> 0))
+
 let () =
   Alcotest.run "serve"
     [
@@ -719,5 +779,9 @@ let () =
             test_validate_exit_codes;
           Alcotest.test_case "suite --strict exit codes" `Quick
             test_suite_strict_exit_codes;
+          Alcotest.test_case "user-input errors exit 1" `Quick
+            test_user_error_exit_codes;
+          Alcotest.test_case "precision out of range" `Quick
+            test_precision_bounds;
         ] );
     ]
