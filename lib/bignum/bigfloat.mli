@@ -9,8 +9,9 @@
 
     Basic operations ([add], [sub], [mul], [div], [sqrt]) are correctly
     rounded to the requested precision. Transcendental functions live in
-    {!Bigfloat_math} and are faithful to within a couple of ulps at the
-    requested precision (see DESIGN.md on the table-maker's dilemma). *)
+    {!Bigfloat_math}: [sin], [cos] and [tan] are correctly rounded, the
+    rest faithful to within a couple of ulps at the requested precision
+    (see DESIGN.md on the table-maker's dilemma). *)
 
 type t =
   | Nan

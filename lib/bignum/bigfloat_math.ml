@@ -148,6 +148,10 @@ let atanh2_series ~wp z =
   done;
   B.mul_2exp !acc 1
 
+(* [log] sums the series of x itself inside (0.70, 1.5) *)
+let log_near_lo = B.of_decimal_string ~prec:64 "0.70"
+let log_near_hi = B.of_decimal_string ~prec:64 "1.5"
+
 let log ~prec x =
   match x with
   | B.Nan -> B.Nan
@@ -160,10 +164,7 @@ let log ~prec x =
       else begin
         let wp = prec + guard in
         (* Near 1, avoid the e*ln2 split entirely (cancellation). *)
-        let near_one =
-          B.gt x (B.of_decimal_string ~prec:64 "0.70")
-          && B.lt x (B.of_decimal_string ~prec:64 "1.5")
-        in
+        let near_one = B.gt x log_near_lo && B.lt x log_near_hi in
         if near_one then begin
           (* When x = 1 + eps the leading term of 2 atanh((x-1)/(x+1)) has
              magnitude eps, so ask for enough working precision. *)
@@ -266,45 +267,6 @@ let exp2 ~prec x =
       let wp = prec + guard in
       exp ~prec (B.mul ~prec:wp x (ln2 ~prec:wp))
 
-(* sin(r) and cos(r) Taylor series for |r| <= pi/4 + small slack. *)
-let sin_series ~wp r =
-  let r2 = B.mul ~prec:wp r r in
-  let acc = ref r and term = ref r and k = ref 1 in
-  let continue = ref true in
-  while !continue do
-    term :=
-      B.neg
-        (B.div_int ~prec:wp
-           (B.mul ~prec:wp !term r2)
-           ((2 * !k) * ((2 * !k) + 1)));
-    if B.is_zero !term || magnitude !term < magnitude !acc - wp - 4 then
-      continue := false
-    else begin
-      acc := B.add ~prec:wp !acc !term;
-      incr k
-    end
-  done;
-  !acc
-
-let cos_series ~wp r =
-  let r2 = B.mul ~prec:wp r r in
-  let acc = ref B.one and term = ref B.one and k = ref 1 in
-  let continue = ref true in
-  while !continue do
-    term :=
-      B.neg
-        (B.div_int ~prec:wp
-           (B.mul ~prec:wp !term r2)
-           (((2 * !k) - 1) * (2 * !k)));
-    if B.is_zero !term || magnitude !term < magnitude !acc - wp - 4 then
-      continue := false
-    else begin
-      acc := B.add ~prec:wp !acc !term;
-      incr k
-    end
-  done;
-  !acc
-
 (* Reduce x modulo pi/2: returns (quadrant mod 4, remainder) with
    |remainder| <= pi/4 (up to rounding), both at precision wp. Uses a Ziv
    retry so the remainder keeps wp significant bits even near multiples of
@@ -370,60 +332,152 @@ let trig_reduce ~wp x =
     else attempt guard 0
   end
 
+(* ---------- sin, cos and tan: fixed-point series, Ziv rounding ---------- *)
+
+(* floor(|r| * 2^f) *)
+let to_fixed ~f r =
+  match r with
+  | B.Fin fr ->
+      let s = fr.B.exp + f in
+      if s >= 0 then N.shift_left fr.B.mant s else N.shift_right fr.B.mant (-s)
+  | B.Zero _ | B.Nan | B.Inf _ -> N.zero
+
+(* The Taylor series of sin |r|, or of cos |r| with [~cos:true], for
+   |r| < 1 in fixed point with [f] fraction bits: [(s, e)] with
+   |2^f sin|r| - s| < e.
+
+   The error bound, in units of 2^-f. Write rho = |r| 2^f,
+   y = rho^2 / 2^f, and d_k = 2k(2k+1) for sin, (2k-1)2k for cos. The
+   exact terms are tau_0 = rho (sin) or 2^f (cos) and
+   tau_k = tau_{k-1} y / (2^f d_k), so 2^f sin|r| = sum (-1)^k tau_k,
+   and every tau_k <= 2^f. The kernel computes R = floor rho,
+   Y = floor (R^2 / 2^f) and t_k = floor (P_k / d_k), where the short
+   product P_k = [N.mul_shift_right t_{k-1} Y f] is
+   floor (t_{k-1} Y / 2^f) or one less.
+   - Every step rounds down from underestimates, so 0 <= t_k <= tau_k.
+   - 0 <= y - Y < (rho + R) / 2^f + 1 < 3, since rho < 2^f.
+   - P_k loses less than 2 and the division's floor less than 1 more,
+     so delta_k = tau_k - t_k obeys
+       delta_k < (tau_{k-1} (y - Y) + Y delta_{k-1}) / (2^f d_k)
+                 + 2/d_k + 1
+               < (5 + delta_{k-1}) / d_k + 1.
+     With delta_0 < 1 (sin) or = 0 (cos), d_1 >= 2 and d_k >= 12 for
+     k >= 2, every delta_k < 3.5.
+   - The loop stops at the first t_K = 0, so tau_K = delta_K < 3.5. The
+     terms decrease (r^2 < d_k), so the alternating tail from K on is at
+     most tau_K.
+   Summing K kept terms and the tail: the error is below
+   3.5 (K + 1) < e = 4 (K + 1). *)
+let trig_series ~cos ~f r =
+  assert (B.is_zero r || magnitude r <= 0);
+  let rr = to_fixed ~f r in
+  let y = N.shift_right (N.mul rr rr) f in
+  let t0 = if cos then N.shift_left N.one f else rr in
+  let rec go k t s =
+    let p = N.mul_shift_right t y f in
+    let d = if cos then ((2 * k) - 1) * (2 * k) else 2 * k * ((2 * k) + 1) in
+    let t, _ = N.divmod_int p d in
+    if N.is_zero t then (s, N.of_int (4 * (k + 1)))
+    (* the computed terms never increase, so s >= t when subtracting *)
+    else go (k + 1) t (if k land 1 = 1 then N.sub s t else N.add s t)
+  in
+  go 1 t0 t0
+
+(* Ziv's rounding test: s / 2^f rounded to [prec] bits, provided every
+   value within e of s rounds the same way. Rounding is monotone, so the
+   two ends decide it; [None] asks for a wider evaluation. *)
+let round_fixed ~prec ~f s e =
+  let at m = B.round ~prec (B.make ~neg:false ~mant:m ~exp:(-f)) in
+  if N.compare s e <= 0 then None
+  else begin
+    let lo = at (N.sub s e) in
+    if B.equal lo (at (N.add s e)) then Some lo else None
+  end
+
+(* min 0 (magnitude r): a sin(r) result needs f to grow as |r| shrinks *)
+let lead r = if B.is_zero r then 0 else min 0 (magnitude r)
+
+(* Ziv's loop shared by sin, cos and tan. [eval ~w ~err q r] gets x
+   reduced at working precision w to quadrant q and remainder r, and
+   [err ~f], a bound in units of 2^-f on |r - (x - q pi/2)|. It returns
+   the correctly rounded result, or [None] when its rounding test is
+   ambiguous; the loop then doubles w.
+
+   The reduction bound. Either [trig_reduce] returns r = x, exactly
+   (then q = 0: x - q halfpi rounds to x only when q halfpi = 0), or it
+   computes, at some p >= w + xmag + 32 with xmag = max 0 (magnitude x):
+   halfpi = pi_p / 2 with |halfpi - pi/2| < 2^(1-p); an integer q with
+   |q| <= 2^xmag; and r = round_p (x - round_p (q halfpi)) with |r| < 1.
+   The three errors are below |q| 2^(1-p) + 2^(xmag+1-p) + 2^-p
+   < 2^(xmag+3-p) <= 2^(-w-29). *)
+let trig ~prec x fallback eval =
+  let rec go w =
+    match trig_reduce ~wp:w x with
+    | None -> B.of_float (fallback (B.to_float x))
+    | Some (q, r) -> (
+        let err ~f =
+          if B.equal r x then N.zero
+          else N.shift_left N.one (max 0 (f - w - 29))
+        in
+        match eval ~w ~err q r with Some v -> v | None -> go (2 * w))
+  in
+  go (prec + guard)
+
+(* sin (r + q pi/2) is sin r, cos r, -sin r, -cos r for q = 0..3, and
+   cos (r + q pi/2) is cos r, -sin r, -cos r, sin r. *)
+let sin_cos ~prec ~cos x =
+  trig ~prec x (if cos then Stdlib.cos else Stdlib.sin) (fun ~w ~err q r ->
+      let use_cos = (q land 1 = 1) <> cos in
+      let f = w + 16 - if use_cos then 0 else lead r in
+      let s, e = trig_series ~cos:use_cos ~f r in
+      let neg =
+        (if cos then q = 1 || q = 2 else q >= 2)
+        <> ((not use_cos) && B.is_negative r)
+      in
+      round_fixed ~prec ~f s (N.add e (err ~f))
+      |> Option.map (fun v -> if neg then B.neg v else v))
+
 let sin ~prec x =
   match x with
   | B.Nan | B.Inf _ -> B.Nan
   | B.Zero _ -> x
-  | B.Fin _ -> begin
-      let wp = prec + guard in
-      match trig_reduce ~wp x with
-      | None -> B.of_float (Stdlib.sin (B.to_float x))
-      | Some (q, r) ->
-          let v =
-            match q with
-            | 0 -> sin_series ~wp r
-            | 1 -> cos_series ~wp r
-            | 2 -> B.neg (sin_series ~wp r)
-            | _ -> B.neg (cos_series ~wp r)
-          in
-          B.round ~prec v
-    end
+  | B.Fin _ -> sin_cos ~prec ~cos:false x
 
 let cos ~prec x =
   match x with
   | B.Nan | B.Inf _ -> B.Nan
   | B.Zero _ -> B.one
-  | B.Fin _ -> begin
-      let wp = prec + guard in
-      match trig_reduce ~wp x with
-      | None -> B.of_float (Stdlib.cos (B.to_float x))
-      | Some (q, r) ->
-          let v =
-            match q with
-            | 0 -> cos_series ~wp r
-            | 1 -> B.neg (sin_series ~wp r)
-            | 2 -> B.neg (cos_series ~wp r)
-            | _ -> sin_series ~wp r
-          in
-          B.round ~prec v
-    end
+  | B.Fin _ -> sin_cos ~prec ~cos:true x
 
+(* tan (r + q pi/2) is tan r for even q and -cos r / sin r for odd q;
+   the quotient of the two series' intervals bounds it. *)
 let tan ~prec x =
   match x with
   | B.Nan | B.Inf _ -> B.Nan
   | B.Zero _ -> x
-  | B.Fin _ -> begin
-      let wp = prec + guard in
-      match trig_reduce ~wp x with
-      | None -> B.of_float (Stdlib.tan (B.to_float x))
-      | Some (q, r) ->
-          let s = sin_series ~wp r and c = cos_series ~wp r in
-          let v =
-            if q = 0 || q = 2 then B.div ~prec:wp s c
-            else B.neg (B.div ~prec:wp c s)
+  | B.Fin _ ->
+      trig ~prec x Stdlib.tan (fun ~w ~err q r ->
+          let f = w + 16 - lead r in
+          let series cos =
+            let v, e = trig_series ~cos ~f r in
+            (v, N.add e (err ~f))
           in
-          B.round ~prec v
-    end
+          let (n, en), (d, ed) =
+            if q land 1 = 0 then (series false, series true)
+            else (series true, series false)
+          in
+          if N.compare n en <= 0 || N.compare d ed <= 0 then None
+          else begin
+            let quo a b =
+              B.div ~prec
+                (B.make ~neg:false ~mant:a ~exp:0)
+                (B.make ~neg:false ~mant:b ~exp:0)
+            in
+            let lo = quo (N.sub n en) (N.add d ed) in
+            if B.equal lo (quo (N.add n en) (N.sub d ed)) then
+              Some (if (q land 1 = 1) <> B.is_negative r then B.neg lo else lo)
+            else None
+          end)
 
 (* atan for finite x via 8 angle-halving reductions then the Gregory
    series. *)

@@ -1,8 +1,13 @@
 (** Transcendental functions on {!Bigfloat} values.
 
-    Every function takes a target precision [prec] and returns a result
-    faithful to within a few ulps at that precision (computed internally
-    with 32 or more guard bits; see DESIGN.md for the precision contract).
+    Every function takes a target precision [prec]. [sin], [cos] and
+    [tan] return the correctly rounded result (round to nearest even):
+    a fixed-point series with a rigorous error bound, widened by Ziv's
+    rounding test until the rounding is decided; their fallback for
+    |x| >= 2^8192 is the double-precision libm value. Every other
+    function is faithful to within a few ulps at that precision
+    (computed internally with 32 or more guard bits). See DESIGN.md for
+    the precision contract.
     Together with {!Bigfloat} this covers the libm surface that Herbgrind
     wraps (paper section 5.4): the shadow real execution calls these to get
     the exact result of client math-library calls.

@@ -339,6 +339,43 @@ let sub_shifted (a : t) (s : int) (b : t) : t =
     normalize r
   end
 
+(* [mul_shift_right a b s] is floor(a*b / 2^s) or one less. It skips the
+   partial products a_i*b_j with i + j < off = s/31 - 2, whose columns
+   sum to D < sum_{c<off} (c+1) B^(c+2) < 2 off B^(off+1) <= 2^s for
+   off < 2^30 (as B^(off+2) <= 2^s); so the result floor((a*b - D) / 2^s)
+   is floor(a*b / 2^s) or one less. A fixed-point series keeps only the
+   top of each product, so this halves its multiply cost. *)
+let mul_shift_right (a : t) (b : t) (s : int) : t =
+  if s < 0 then invalid_arg "Natural.mul_shift_right: negative shift";
+  let off = (s / base_bits) - 2 in
+  let la = Array.length a and lb = Array.length b in
+  if off <= 0 || la = 0 || lb = 0 then shift_right (mul a b) s
+  else if la + lb - 1 <= off then zero
+  else begin
+    (* row-wise schoolbook over the kept triangle; limb k of [r] holds
+       column off + k *)
+    let r = Array.make (la + lb - off) 0 in
+    for i = 0 to la - 1 do
+      let ai = Array.unsafe_get a i in
+      let j0 = if off - i > 0 then off - i else 0 in
+      if ai <> 0 && j0 < lb then begin
+        let carry = ref 0 in
+        for j = j0 to lb - 1 do
+          let k = i + j - off in
+          let p =
+            (ai * Array.unsafe_get b j) + Array.unsafe_get r k + !carry
+          in
+          Array.unsafe_set r k (p land limb_mask);
+          carry := p lsr base_bits
+        done;
+        (* as in [mul_school], no earlier row reached this limb *)
+        let k = i + lb - off in
+        Array.unsafe_set r k (Array.unsafe_get r k + !carry)
+      end
+    done;
+    shift_right (normalize r) (s - (off * base_bits))
+  end
+
 (* Short-product multiply-and-round for odd operands.
 
    [mul_round ~prec a b] rounds a*b to [prec] significant bits (round to
@@ -580,13 +617,45 @@ let divmod (a : t) (b : t) : t * t =
   end
   else divmod_knuth a b
 
+let to_float (a : t) =
+  let bl = bit_length a in
+  if bl = 0 then 0.0
+  else if bl <= 53 then begin
+    match to_int_opt a with
+    | Some i -> float_of_int i
+    | None -> assert false
+  end
+  else begin
+    (* Keep 54 bits plus a sticky bit, then round to nearest even. *)
+    let sh = bl - 54 in
+    let top = shift_right a sh in
+    let sticky = compare (shift_left top sh) a <> 0 in
+    let i =
+      match to_int_opt top with Some i -> i | None -> assert false
+    in
+    let round_bit = i land 1 = 1 in
+    let keep = i lsr 1 in
+    let rounded =
+      if round_bit && (sticky || keep land 1 = 1) then keep + 1 else keep
+    in
+    ldexp (float_of_int rounded) (sh + 1)
+  end
+
 let isqrt (a : t) : t =
   if is_zero a then zero
   else begin
-    let bl = bit_length a in
-    (* Initial overestimate: 2^ceil(bl/2); Newton from above converges
-       monotonically to floor(sqrt). *)
-    let x = ref (shift_left one ((bl + 1) / 2)) in
+    (* Newton from any start >= floor(sqrt a) decreases monotonically to
+       floor(sqrt a), so seed it from a float root of a's top bits. With
+       s even and T = a >> s (at most 100 bits),
+       sqrt a < sqrt (T+1) 2^(s/2) and sqrt (T+1) <= sqrt T + 1/2. The
+       float root of T is within 2^-52 sqrt T < 1/4 of sqrt T
+       (T < 2^100), so its ceiling plus 2 bounds sqrt (T+1) from above: a
+       start with about 50 correct bits rather than the one bit of
+       2^ceil(bl/2). *)
+    let s = (max 0 (bit_length a - 100) + 1) land lnot 1 in
+    let root = Float.sqrt (to_float (shift_right a s)) in
+    let seed = of_int (int_of_float (Float.ceil root) + 2) in
+    let x = ref (shift_left seed (s / 2)) in
     let continue = ref true in
     while !continue do
       let q, _ = divmod a !x in
@@ -634,30 +703,6 @@ let to_string (a : t) =
         Buffer.add_string buf (string_of_int first);
         List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest;
         Buffer.contents buf
-  end
-
-let to_float (a : t) =
-  let bl = bit_length a in
-  if bl = 0 then 0.0
-  else if bl <= 53 then begin
-    match to_int_opt a with
-    | Some i -> float_of_int i
-    | None -> assert false
-  end
-  else begin
-    (* Keep 54 bits plus a sticky bit, then round to nearest even. *)
-    let sh = bl - 54 in
-    let top = shift_right a sh in
-    let sticky = compare (shift_left top sh) a <> 0 in
-    let i =
-      match to_int_opt top with Some i -> i | None -> assert false
-    in
-    let round_bit = i land 1 = 1 in
-    let keep = i lsr 1 in
-    let rounded =
-      if round_bit && (sticky || keep land 1 = 1) then keep + 1 else keep
-    in
-    ldexp (float_of_int rounded) (sh + 1)
   end
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)

@@ -65,6 +65,12 @@ val any_bit_below : t -> int -> bool
 (** [any_bit_below n i] is true when some bit strictly below position [i]
     is set. O(1) on odd values. *)
 
+val mul_shift_right : t -> t -> int -> t
+(** [mul_shift_right a b s] is [floor (a*b / 2^s)] or one less, by a
+    short product that skips the partial products below the kept bits:
+    the multiply of a fixed-point series that keeps only the top of each
+    product. *)
+
 val mul_round : prec:int -> t -> t -> (t * int) option
 (** [mul_round ~prec a b] computes [a*b] rounded to nearest at [prec]
     significant bits via a short product, returning [Some (mant, shift)]

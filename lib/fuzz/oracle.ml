@@ -19,7 +19,8 @@
                 kernel ops + - * / sqrt fma (subnormal results are
                 skipped: Bigfloat's unbounded exponent does not
                 double-round into the subnormal range the way hardware
-                does; see DESIGN.md);
+                does; see DESIGN.md), and a precision-doubling check of
+                the shadow sin, cos and tan at the analysis precision;
    - sanitize:  the NSan-style dual-precision sanitizer engine
                 ([Sanitize.Sexec]) — its client outputs must also be
                 bit-identical to the machine's (same transparency claim,
@@ -177,12 +178,44 @@ let kernel_apply_exact (name : string) (args : float array) :
   | "fma", [| x; y; z |] -> Bignum.Bigfloat_math.fma ~prec:53 x y z
   | _ -> invalid_arg ("kernel_apply_exact: " ^ name)
 
-(* Check one executed kernel op; return a mismatch description if the
-   53-bit Bigfloat result does not reproduce the native double. *)
-let kernel_check (name : string) (args : float array) (r : float) :
+(* The precision-doubling oracle for a shadow function [f]: [f ~prec x]
+   must equal [f ~prec:(2 prec) x] rounded to [prec] bits. A wide result
+   that sits exactly on a prec-bit midpoint no longer tells which side
+   the true value lies on (double rounding), so the reference then
+   widens again, up to 16 prec. Compared structurally, so the sign of a
+   zero counts. *)
+let doubling_check ~prec
+    (f : prec:int -> Bignum.Bigfloat.t -> Bignum.Bigfloat.t)
+    (x : Bignum.Bigfloat.t) : string option =
+  let module B = Bignum.Bigfloat in
+  let midpoint y =
+    B.is_finite y && (not (B.is_zero y)) && B.precision_of y = prec + 1
+  in
+  let rec reference wide =
+    let y = f ~prec:wide x in
+    if midpoint y && wide < 16 * prec then reference (2 * wide) else y
+  in
+  let got = f ~prec x and want = B.round ~prec (reference (2 * prec)) in
+  if got = want then None
+  else begin
+    (* enough digits to tell two prec-bit values apart *)
+    let show = B.to_decimal_string ~digits:((prec / 3) + 3) in
+    Some
+      (Printf.sprintf "at %d bits %s, at 2x precision rounds to %s" prec
+         (show got) (show want))
+  end
+
+(* the shadow trig functions, correctly rounded, so checked against
+   themselves by [doubling_check] rather than against libm, which is
+   only faithful *)
+let trig_kernel =
+  let module M = Bignum.Bigfloat_math in
+  [ ("sin", M.sin); ("cos", M.cos); ("tan", M.tan) ]
+
+(* the 53-bit Bigfloat result of a basic op against the native double *)
+let native_check (name : string) (args : float array) (r : float) :
     string option =
-  if not (Array.for_all Float.is_finite args) then None
-  else if not (Float.is_finite r) then None (* overflow/NaN: out of scope *)
+  if not (Float.is_finite r) then None (* overflow/NaN: out of scope *)
   else if r <> 0.0 && Float.abs r < min_normal then
     None (* subnormal double rounding: legitimately different *)
   else
@@ -205,6 +238,20 @@ let kernel_check (name : string) (args : float array) (r : float) :
                (Int64.bits_of_float r)
                rf
                (Int64.bits_of_float rf))
+
+(* Check one executed kernel op; return a mismatch description if the
+   53-bit Bigfloat result does not reproduce the native double [r], or,
+   for sin, cos and tan, if the shadow result at the analysis precision
+   [prec] fails [doubling_check] ([r] is not used then). *)
+let kernel_check ~prec (name : string) (args : float array) (r : float) :
+    string option =
+  if not (Array.for_all Float.is_finite args) then None
+  else
+    match (List.assoc_opt name trig_kernel, args) with
+    | Some f, [| x |] ->
+        doubling_check ~prec f (Bignum.Bigfloat.of_float x)
+        |> Option.map (Printf.sprintf "%s(%h): %s" name x)
+    | _ -> native_check name args r
 
 (* ---------- the engine-consistency oracle ---------- *)
 
@@ -471,7 +518,8 @@ let run ?(checks = default_checks) ?tick ~(inputs : float array)
   let kernel_bad = ref None in
   let hook name args r =
     if !kernel_bad = None then
-      match kernel_check name args r with
+      let prec = checks.c_cfg.Core.Config.precision in
+      match kernel_check ~prec name args r with
       | Some d -> kernel_bad := Some d
       | None -> ()
   in

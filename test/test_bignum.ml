@@ -76,6 +76,30 @@ let nat_isqrt () =
     checkb "(s+1)^2 > a" true (N.compare (N.mul s1 s1) a > 0)
   done
 
+(* exact squares and their neighbours pin the floor at both ends *)
+let nat_isqrt_squares () =
+  for _ = 1 to 200 do
+    let w = 1 + Random.int 1200 in
+    let a = N.add (N.shift_right (random_nat w) (Random.int 31)) N.one in
+    let a2 = N.mul a a in
+    let is name want got = checkb name true (N.equal want got) in
+    is "isqrt a^2 = a" a (N.isqrt a2);
+    is "isqrt (a^2 - 1) = a - 1" (N.sub a N.one) (N.isqrt (N.sub a2 N.one));
+    is "isqrt (a^2 + 2a) = a" a (N.isqrt (N.add a2 (N.mul_int a 2)))
+  done
+
+(* the short product is the floor of the shifted product or one less *)
+let nat_mul_shift_right () =
+  for _ = 1 to 300 do
+    let a = random_nat (1 + Random.int 1500)
+    and b = random_nat (1 + Random.int 1500) in
+    let s = Random.int 3200 in
+    let exact = N.shift_right (N.mul a b) s in
+    let got = N.mul_shift_right a b s in
+    checkb "floor or one less" true
+      (N.equal got exact || N.equal (N.add got N.one) exact)
+  done
+
 let nat_karatsuba_matches () =
   (* Large operands exercise the Karatsuba path; compare against a
      sum-of-shifts reference computed with add/shift only. *)
@@ -367,6 +391,89 @@ let math_pi_ln2 () =
   checkb "pi 2000 -> 53" true
     (B.to_float (B.round ~prec:53 (M.pi ~prec:2000)) = Float.pi)
 
+(* ---------- precision-doubling oracle for sin, cos and tan ---------- *)
+
+(* Every check: f at p equals f at 2p rounded to p bits
+   ([Fuzz.Oracle.doubling_check], which widens the reference past a
+   double-rounding midpoint), for p in the list below. *)
+let oracle_precs = [ 53; 113; 256; 1000 ]
+
+let trig_fns = [ ("sin", M.sin); ("cos", M.cos); ("tan", M.tan) ]
+
+let doubling_ok name f ~prec x =
+  match Fuzz.Oracle.doubling_check ~prec f x with
+  | None -> ()
+  | Some d ->
+      Alcotest.failf "%s(%s): %s" name (B.to_decimal_string ~digits:40 x) d
+
+(* a random mantissa of exactly [bits] bits *)
+let random_mant rng bits =
+  let rec fill acc n =
+    if n = 0 then acc
+    else begin
+      let k = min n 30 in
+      let chunk = Random.State.bits rng land ((1 lsl k) - 1) in
+      fill (N.add (N.shift_left acc k) (N.of_int chunk)) (n - k)
+    end
+  in
+  fill N.one (bits - 1)
+
+(* [gen rng prec] draws an argument; [n] of them per precision and
+   function, fewer at 1000 bits *)
+let doubling_case gen () =
+  List.iter
+    (fun prec ->
+      let rng = Random.State.make [| prec |] in
+      let n = if prec >= 1000 then 4 else 12 in
+      List.iter
+        (fun (name, f) ->
+          for _ = 1 to n do
+            doubling_ok name f ~prec (gen rng prec)
+          done)
+        trig_fns)
+    oracle_precs
+
+(* dense p-bit values with |x| in [2^-4, 2^5) *)
+let gen_dense rng prec =
+  B.make ~neg:(Random.State.bool rng) ~mant:(random_mant rng prec)
+    ~exp:(Random.State.int rng 9 - 4 - prec)
+
+let gen_double rng _prec =
+  let x = Float.pow 10.0 (Random.State.float rng 15.0) in
+  B.of_float (if Random.State.bool rng then x else -.x)
+
+(* k pi/2 rounded to p bits: the remainder is about 2^-p of x *)
+let gen_near_half_pi rng prec =
+  let wp = prec + 64 in
+  let k = B.of_int (1 + Random.State.int rng 1_000_000) in
+  B.round ~prec (B.mul_2exp (B.mul ~prec:wp k (M.pi ~prec:wp)) (-1))
+
+let gen_tiny rng prec =
+  B.make ~neg:(Random.State.bool rng) ~mant:(random_mant rng prec)
+    ~exp:(-200 - prec - Random.State.int rng 100)
+
+(* x = g^-1 (m) at 3p bits for m the midpoint of two adjacent p-bit
+   floats in [1/2, 1): f x lies within about 2^-3p of m, so neither f at
+   p nor its 2p reference can round without widening *)
+let doubling_hard_cases () =
+  List.iter
+    (fun prec ->
+      let rng = Random.State.make [| prec; 3 |] in
+      List.iter
+        (fun (name, f, inv) ->
+          for _ = 1 to 3 do
+            let m =
+              B.make ~neg:false
+                ~mant:(N.add (N.shift_left (random_mant rng prec) 1) N.one)
+                ~exp:(-(prec + 1))
+            in
+            doubling_ok name f ~prec (inv ~prec:(3 * prec) m)
+          done)
+        [
+          ("sin", M.sin, M.asin); ("cos", M.cos, M.acos); ("tan", M.tan, M.atan);
+        ])
+    oracle_precs
+
 (* qcheck properties *)
 
 let qcheck_tests =
@@ -412,6 +519,8 @@ let () =
           Alcotest.test_case "divmod property" `Quick nat_divmod_property;
           Alcotest.test_case "string roundtrip" `Quick nat_string_roundtrip;
           Alcotest.test_case "isqrt" `Quick nat_isqrt;
+          Alcotest.test_case "isqrt of squares" `Quick nat_isqrt_squares;
+          Alcotest.test_case "mul_shift_right" `Quick nat_mul_shift_right;
           Alcotest.test_case "karatsuba matches" `Quick nat_karatsuba_matches;
           Alcotest.test_case "shifts" `Quick nat_shifts;
           Alcotest.test_case "to_float" `Quick nat_to_float;
@@ -449,6 +558,17 @@ let () =
           Alcotest.test_case "misc" `Quick math_misc;
           Alcotest.test_case "fma" `Quick math_fma;
           Alcotest.test_case "pi and ln2" `Quick math_pi_ln2;
+        ] );
+      ( "doubling",
+        [
+          Alcotest.test_case "dense p-bit arguments" `Quick
+            (doubling_case gen_dense);
+          Alcotest.test_case "doubles up to 1e15" `Quick
+            (doubling_case gen_double);
+          Alcotest.test_case "near k pi/2" `Quick
+            (doubling_case gen_near_half_pi);
+          Alcotest.test_case "below 2^-200" `Quick (doubling_case gen_tiny);
+          Alcotest.test_case "midpoint hard cases" `Quick doubling_hard_cases;
         ] );
       ( "properties",
         (* seeded per-test so `dune runtest` is deterministic; set
