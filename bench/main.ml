@@ -7,7 +7,9 @@
      dune exec bench/main.exe                 # everything (slow-ish)
      dune exec bench/main.exe -- fig9 fig10   # chosen experiments
      dune exec bench/main.exe -- --quick      # smaller sweeps
-     dune exec bench/main.exe -- micro        # bechamel microbenchmarks
+
+   Exits 1 if any experiment raised. Per-operation costs (bignum,
+   twofloat) are perfbench's micro layer, not an experiment here.
 
    Absolute times depend on this machine; the reproduction targets the
    paper's *shapes*: which configuration is slower, by roughly what
@@ -495,59 +497,6 @@ let minitriangle () =
         count)
     [ 0.0; 0.25; 0.5; 0.75; 0.9 ]
 
-(* ---------- bechamel microbenchmarks ---------- *)
-
-let micro () =
-  header "Microbenchmarks (bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let b = Bignum.Bigfloat.of_float 1.234567890123456789 in
-  let c = Bignum.Bigfloat.of_float 7.654321098765432109 in
-  let prog =
-    Minic.compile ~file:"micro.mc"
-      {| int main() {
-           double s = 0.0;
-           int i;
-           for (i = 1; i < 100; i = i + 1) {
-             s = s + 1.0 / (double) i;
-           }
-           print(s);
-           return 0;
-         } |}
-  in
-  let tests =
-    [
-      Test.make ~name:"bigfloat-mul-1000bit" (Staged.stage (fun () ->
-          ignore (Bignum.Bigfloat.mul ~prec:1000 b c)));
-      Test.make ~name:"bigfloat-exp-128bit" (Staged.stage (fun () ->
-          ignore (Bignum.Bigfloat_math.exp ~prec:128 b)));
-      Test.make ~name:"vex-native-run" (Staged.stage (fun () ->
-          ignore (Vex.Machine.run prog)));
-      Test.make ~name:"vex-analysis-run-128bit" (Staged.stage (fun () ->
-          ignore
-            (Core.Analysis.analyze ~cfg:Core.Config.fast prog)));
-    ]
-  in
-  let benchmark test =
-    let instances = [ Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances test
-  in
-  List.iter
-    (fun test ->
-      let raw = benchmark (Test.make_grouped ~name:"g" [ test ]) in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name r ->
-          match Bechamel.Analyze.OLS.estimates r with
-          | Some [ est ] -> pr "%-32s %12.1f ns/run\n" name est
-          | _ -> pr "%-32s (no estimate)\n" name)
-        results)
-    tests
-
 (* ---------- main ---------- *)
 
 let experiments =
@@ -570,7 +519,6 @@ let experiments =
     ("ablate_real", ablate_real);
     ("threshold_sweep", threshold_sweep);
     ("ablate_wrap", ablate_wrap);
-    ("micro", micro);
   ]
 
 let () =
@@ -601,10 +549,15 @@ let () =
   in
   pr "fpgrind benchmark harness (%s mode)\n"
     (if !quick then "quick" else "full");
-  List.iter
-    (fun name ->
-      let f = List.assoc name experiments in
-      try f ()
-      with e ->
-        pr "experiment %s FAILED: %s\n" name (Printexc.to_string e))
-    chosen
+  let failed =
+    List.filter
+      (fun name ->
+        let f = List.assoc name experiments in
+        match f () with
+        | () -> false
+        | exception e ->
+            pr "experiment %s FAILED: %s\n" name (Printexc.to_string e);
+            true)
+      chosen
+  in
+  if failed <> [] then exit 1

@@ -74,31 +74,6 @@ type outcome = {
 
 type progress = { pr_done : int; pr_total : int; pr_last : outcome }
 
-(* ---------- observability hooks ---------- *)
-
-(* An installed observer sees every job the engine runs — batch or pool —
-   without the fleet depending on whoever is watching (lib/serve's
-   metrics layer installs one). Observer exceptions are swallowed:
-   observability must never change an outcome. *)
-type observer = {
-  ob_started : spec -> unit;
-  ob_finished : outcome -> unit;
-}
-
-let the_observer : observer option Atomic.t = Atomic.make None
-let set_observer (ob : observer) = Atomic.set the_observer (Some ob)
-let clear_observer () = Atomic.set the_observer None
-
-let notify_started sp =
-  match Atomic.get the_observer with
-  | Some ob -> ( try ob.ob_started sp with _ -> ())
-  | None -> ()
-
-let notify_finished o =
-  match Atomic.get the_observer with
-  | Some ob -> ( try ob.ob_finished o with _ -> ())
-  | None -> ()
-
 (* ---------- running one job ---------- *)
 
 (* The deadline is enforced from the executors' tick. The executors
@@ -115,22 +90,17 @@ let make_tick ~start = function
       fun () -> if Unix.gettimeofday () > deadline then raise Deadline_exceeded
 
 let exec_one ?timeout (sp : spec) : outcome =
-  notify_started sp;
   let start = Unix.gettimeofday () in
   let finish status payload =
-    let o =
-      {
-        o_name = sp.sp_name;
-        o_group = sp.sp_group;
-        o_key = sp.sp_key;
-        o_engine = sp.sp_engine;
-        o_status = status;
-        o_wall_s = Unix.gettimeofday () -. start;
-        o_payload = payload;
-      }
-    in
-    notify_finished o;
-    o
+    {
+      o_name = sp.sp_name;
+      o_group = sp.sp_group;
+      o_key = sp.sp_key;
+      o_engine = sp.sp_engine;
+      o_status = status;
+      o_wall_s = Unix.gettimeofday () -. start;
+      o_payload = payload;
+    }
   in
   match sp.sp_work ~tick:(make_tick ~start timeout) with
   | p -> finish Done (Some p)
@@ -168,7 +138,7 @@ let run ?(jobs = 1) ?timeout ?cache ?on_progress (specs : spec list) :
     in
     match cached with
     | Some (prev : outcome) when prev.o_payload <> None ->
-        let o =
+        record i
           {
             prev with
             o_name = sp.sp_name;
@@ -178,9 +148,6 @@ let run ?(jobs = 1) ?timeout ?cache ?on_progress (specs : spec list) :
             o_status = Cached;
             o_wall_s = 0.0;
           }
-        in
-        notify_finished o;
-        record i o
     | _ -> record i (exec_one ?timeout sp)
   in
   let worker () =

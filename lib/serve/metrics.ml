@@ -3,10 +3,17 @@
    the subsystem: the exposition format is a few lines of printf, so a
    small faithful implementation beats a client-library package.
 
-   Thread- and domain-safe: every mutation and the render pass take the
-   registry mutex — updates come from connection threads and from Fleet
-   worker domains (via the engine observer), scrapes from whichever
-   connection thread serves GET /metrics. *)
+   A series is one of two kinds. An updated series ([counter],
+   [histogram]) is changed by the code where its event happens —
+   connection threads, request handlers — and render reads what it
+   holds. A sampled series ([sampled]) holds nothing: it names a read
+   of state another module already keeps (pool depth, a process-wide
+   total, a file), and render calls that read on every scrape.
+
+   Thread- and domain-safe: every update and the render pass take the
+   registry mutex. Render calls the sampled reads before it takes the
+   mutex, so a read may take locks of its own and never runs inside
+   this one. *)
 
 type kind = Counter | Gauge | Histogram of float array (* ascending bounds *)
 
@@ -22,12 +29,12 @@ type family = {
   fam_kind : kind;
   fam_labels : string list;  (* label names; [] for unlabeled metrics *)
   fam_series : (string list, series) Hashtbl.t;  (* keyed by label values *)
+  fam_read : (unit -> float) option;  (* [Some] for sampled series *)
 }
 
 type t = { mu : Mutex.t; mutable fams : family list (* reverse order *) }
 
 type counter = { c_reg : t; c_fam : family }
-type gauge = { g_reg : t; g_fam : family }
 type histogram = { h_reg : t; h_fam : family }
 
 let create () = { mu = Mutex.create (); fams = [] }
@@ -43,7 +50,7 @@ let valid_name n =
        n
   && not (n.[0] >= '0' && n.[0] <= '9')
 
-let register reg ~name ~help ~labels kind : family =
+let register ?read reg ~name ~help ~labels kind : family =
   if not (valid_name name) then invalid_arg ("Metrics: bad metric name " ^ name);
   List.iter
     (fun l ->
@@ -61,6 +68,7 @@ let register reg ~name ~help ~labels kind : family =
       fam_kind = kind;
       fam_labels = labels;
       fam_series = Hashtbl.create 7;
+      fam_read = read;
     }
   in
   reg.fams <- fam :: reg.fams;
@@ -105,34 +113,10 @@ let inc ?(by = 1.0) (c : counter) (label_values : string list) =
   s.sr_value <- s.sr_value +. by;
   Mutex.unlock c.c_reg.mu
 
-let counter_value (c : counter) (label_values : string list) : float =
-  Mutex.lock c.c_reg.mu;
-  let v =
-    match Hashtbl.find_opt c.c_fam.fam_series label_values with
-    | Some s -> s.sr_value
-    | None -> 0.0
-  in
-  Mutex.unlock c.c_reg.mu;
-  v
-
-let gauge reg ~help name : gauge =
-  let g = { g_reg = reg; g_fam = register reg ~name ~help ~labels:[] Gauge } in
-  (* gauges always render, even before the first [set] *)
-  Mutex.lock reg.mu;
-  ignore (series_of g.g_fam []);
-  Mutex.unlock reg.mu;
-  g
-
-let set (g : gauge) v =
-  Mutex.lock g.g_reg.mu;
-  (series_of g.g_fam []).sr_value <- v;
-  Mutex.unlock g.g_reg.mu
-
-let add (g : gauge) v =
-  Mutex.lock g.g_reg.mu;
-  let s = series_of g.g_fam [] in
-  s.sr_value <- s.sr_value +. v;
-  Mutex.unlock g.g_reg.mu
+(* A sampled counter must read a monotone total. *)
+let sampled reg kind ~help name (read : unit -> float) =
+  let kind = match kind with `Counter -> Counter | `Gauge -> Gauge in
+  ignore (register ~read reg ~name ~help ~labels:[] kind)
 
 let default_buckets =
   [| 0.001; 0.005; 0.01; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0; 30.0 |]
@@ -204,10 +188,16 @@ let bucket_label_string names values le =
   "{" ^ String.concat "," pairs ^ "}"
 
 let render (reg : t) : string =
+  Mutex.lock reg.mu;
+  let fams = List.rev reg.fams in
+  Mutex.unlock reg.mu;
+  let reads =
+    List.map (fun fam -> Option.map (fun read -> read ()) fam.fam_read) fams
+  in
   let buf = Buffer.create 1024 in
   Mutex.lock reg.mu;
-  List.iter
-    (fun fam ->
+  List.iter2
+    (fun fam read ->
       let kind_name =
         match fam.fam_kind with
         | Counter -> "counter"
@@ -219,8 +209,11 @@ let render (reg : t) : string =
       Buffer.add_string buf
         (Printf.sprintf "# TYPE %s %s\n" fam.fam_name kind_name);
       let rows =
-        Hashtbl.fold (fun lv s acc -> (lv, s) :: acc) fam.fam_series []
-        |> List.sort compare
+        match read with
+        | Some v -> [ ([], { sr_value = v; sr_count = 0.0; sr_buckets = [||] }) ]
+        | None ->
+            Hashtbl.fold (fun lv s acc -> (lv, s) :: acc) fam.fam_series []
+            |> List.sort compare
       in
       List.iter
         (fun (lv, s) ->
@@ -254,6 +247,6 @@ let render (reg : t) : string =
                    (label_string fam.fam_labels lv)
                    (fmt_num s.sr_count)))
         rows)
-    (List.rev reg.fams);
+    fams reads;
   Mutex.unlock reg.mu;
   Buffer.contents buf

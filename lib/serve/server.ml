@@ -64,34 +64,13 @@ type t = {
   reg : Metrics.t;
   m_requests : Metrics.counter;  (* by endpoint, status *)
   m_request_seconds : Metrics.histogram;  (* by endpoint *)
-  m_queue_depth : Metrics.gauge;
-  m_in_flight : Metrics.gauge;
   m_cache_hits : Metrics.counter;
   m_cache_misses : Metrics.counter;
   m_rejected : Metrics.counter;  (* queue-full 503s *)
-  m_jobs : Metrics.counter;  (* fleet jobs by status, via the observer *)
-  m_job_seconds : Metrics.histogram;
-  m_sanitize_jobs : Metrics.counter;  (* sanitizer-engine jobs by status *)
-  m_sanitize_findings : Metrics.counter;  (* findings those jobs reported *)
-  m_tiered_jobs : Metrics.counter;  (* tiered-engine jobs by status *)
-  m_tiered_escalations : Metrics.counter;  (* jobs that ran pass 2 *)
-  m_tiered_slice_stmts : Metrics.counter;  (* statements escalated *)
-  m_store_corrupt : Metrics.gauge;
-  m_store_torn : Metrics.counter;  (* torn store records, monotone *)
-  m_campaign_findings : Metrics.gauge;  (* findings in the feed *)
-  m_campaign_feed_bytes : Metrics.gauge;
-  m_blocks_compiled : Metrics.counter;  (* Vex superblocks pre-decoded *)
-  m_compile_hits : Metrics.counter;  (* compile-cache hits *)
-  m_regimes : Metrics.counter;  (* regimes inferred by regime jobs *)
-  m_regime_points : Metrics.counter;  (* point evals spent by the search *)
-  m_active_conns : Metrics.gauge;  (* connections currently open *)
   m_ratelimited : Metrics.counter;  (* token-bucket 503s *)
-  m_shard_restarts : Metrics.gauge;  (* respawns, via the parent's status file *)
+  count_job : Fleet.outcome -> unit;  (* the fleet-job series *)
   shared : Cachefile.t option;  (* cross-shard result cache *)
   limiter : Ratelimit.t option;
-  mutable torn_seen : int;  (* last Store.corrupt_tail_total observed *)
-  mutable compiled_seen : int;  (* last Compile.blocks_compiled_total *)
-  mutable compile_hits_seen : int;  (* last Compile.cache_hits_total *)
   cache_mu : Mutex.t;
   cache : (string, Fleet.outcome) Hashtbl.t;
   mutable persisted : Fleet.outcome list;  (* newest first *)
@@ -100,58 +79,101 @@ type t = {
   stop_flag : bool Atomic.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  conn_mu : Mutex.t;
+  conn_mu : Mutex.t;  (* held across decrements, so [run] can wait for 0 *)
   conn_cond : Condition.t;
-  mutable conns : int;
+  conns : int Atomic.t;  (* connections currently open *)
 }
 
 let port t = t.bound_port
+let connections t = Atomic.get t.conns
+
+(* ---------- state the scrape samples ---------- *)
+
+let read_whole_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The campaign findings feed: the raw append-only JSONL file, served
+   verbatim by /findings so a consumer sees exactly what the campaign
+   wrote (the byte-identity contract extends to the wire). An
+   unconfigured server has no feed; a configured one whose campaign has
+   found nothing yet has an empty one. *)
+let findings_feed (cfg : config) : string option =
+  match cfg.findings_path with
+  | None -> None
+  | Some path ->
+      Some (if Sys.file_exists path then read_whole_file path else "")
+
+let feed_lines body =
+  List.length
+    (List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' body))
+
+(* The shard parent's view of the world, for this worker's /metrics.
+   Written atomically (temp + rename) by Shard.run; absent or torn files
+   read as 0 restarts. *)
+let shard_restarts (cfg : config) : int =
+  match cfg.shard_status_path with
+  | None -> 0
+  | Some path -> (
+      match
+        Json.get_int "restarts"
+          (Json.of_string (String.trim (read_whole_file path)))
+      with
+      | n -> n
+      | exception _ -> 0)
 
 (* ---------- creation ---------- *)
 
-let install_observer t =
-  Fleet.set_observer
-    {
-      Fleet.ob_started = (fun _ -> ());
-      Fleet.ob_finished =
-        (fun (o : Fleet.outcome) ->
-          Metrics.inc t.m_jobs [ Fleet.Store.status_to_string o.Fleet.o_status ];
-          Metrics.observe t.m_job_seconds o.Fleet.o_wall_s;
-          if o.Fleet.o_engine = "sanitize" then begin
-            Metrics.inc t.m_sanitize_jobs
-              [ Fleet.Store.status_to_string o.Fleet.o_status ];
-            match o.Fleet.o_payload with
-            | Some p ->
-                Metrics.inc ~by:(float_of_int p.Fleet.p_metrics.Fleet.m_causes)
-                  t.m_sanitize_findings []
-            | None -> ()
-          end;
-          if o.Fleet.o_engine = "tiered" then begin
-            Metrics.inc t.m_tiered_jobs
-              [ Fleet.Store.status_to_string o.Fleet.o_status ];
-            match o.Fleet.o_payload with
-            | Some p ->
-                Metrics.inc
-                  ~by:(float_of_int p.Fleet.p_metrics.Fleet.m_escalations)
-                  t.m_tiered_escalations [];
-                Metrics.inc
-                  ~by:(float_of_int p.Fleet.p_metrics.Fleet.m_slice_stmts)
-                  t.m_tiered_slice_stmts []
-            | None -> ()
-          end;
-          match o.Fleet.o_payload with
-          | Some { Fleet.p_regime = Some rs; _ } ->
-              Metrics.inc
-                ~by:(float_of_int rs.Fleet.rs_regimes)
-                t.m_regimes [];
-              Metrics.inc
-                ~by:(float_of_int rs.Fleet.rs_search_points)
-                t.m_regime_points []
-          | _ -> ());
-    }
-
 let create (cfg : config) : t =
+  (* warm the cache from the store, tolerating a torn tail *)
+  let cache = Hashtbl.create 97 in
+  let persisted = ref [] in
+  (match cfg.store_path with
+  | Some path when Sys.file_exists path ->
+      let outcomes, _skipped = Fleet.Store.load_lenient path in
+      List.iter
+        (fun (o : Fleet.outcome) ->
+          persisted := o :: !persisted;
+          match o.Fleet.o_status with
+          | (Fleet.Done | Fleet.Cached) when o.Fleet.o_key <> "" ->
+              Hashtbl.replace cache o.Fleet.o_key o
+          | _ -> ())
+        outcomes
+  | _ -> ());
+  let listen_fd =
+    match cfg.listen_fd with
+    | Some fd -> fd
+    | None ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        (try
+           Unix.bind fd
+             (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
+           Unix.listen fd 128
+         with e ->
+           (try Unix.close fd with _ -> ());
+           raise e);
+        fd
+  in
+  (* Non-blocking accept: with several shard workers select()ing on one
+     inherited socket, a connection that wakes everyone is accepted by
+     exactly one — the losers see EAGAIN instead of blocking. *)
+  Unix.set_nonblock listen_fd;
+  let bound_port =
+    match Unix.getsockname listen_fd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> cfg.port
+  in
+  let wake_r, wake_w = Unix.pipe () in
+  let pool = Fleet.Pool.create ~queue:cfg.queue ~jobs:cfg.jobs () in
+  let conns = Atomic.make 0 in
+  (* registration order is exposition order, which scrapers rely on *)
   let reg = Metrics.create () in
+  let sampled kind ~help name read =
+    Metrics.sampled reg kind ~help name (fun () -> float_of_int (read ()))
+  in
   let m_requests =
     Metrics.counter reg ~labels:[ "endpoint"; "status" ]
       ~help:"HTTP requests served, by endpoint and response status."
@@ -162,14 +184,10 @@ let create (cfg : config) : t =
       ~help:"Wall time spent serving each request, by endpoint."
       "fpgrind_http_request_seconds"
   in
-  let m_queue_depth =
-    Metrics.gauge reg ~help:"Jobs waiting in the bounded analysis queue."
-      "fpgrind_queue_depth"
-  in
-  let m_in_flight =
-    Metrics.gauge reg ~help:"Jobs currently running on pool workers."
-      "fpgrind_jobs_in_flight"
-  in
+  sampled `Gauge ~help:"Jobs waiting in the bounded analysis queue."
+    "fpgrind_queue_depth" (fun () -> Fleet.Pool.queue_depth pool);
+  sampled `Gauge ~help:"Jobs currently running on pool workers."
+    "fpgrind_jobs_in_flight" (fun () -> Fleet.Pool.in_flight pool);
   let m_cache_hits =
     Metrics.counter reg
       ~help:"Requests answered from the content-hash result cache."
@@ -220,37 +238,26 @@ let create (cfg : config) : t =
       ~help:"Statements escalated to full precision by tiered-engine jobs."
       "fpgrind_tiered_slice_stmts_total"
   in
-  let m_store_corrupt =
-    Metrics.gauge reg
-      ~help:"Truncated trailing JSONL store records skipped since start."
-      "fpgrind_store_corrupt_lines_total"
-  in
-  let m_store_torn =
-    Metrics.counter reg
-      ~help:
-        "Torn JSONL store records skipped by lenient loads. Monotone \
-         counter view of the same signal as the corrupt-lines gauge."
-      "fpgrind_store_torn_records_total"
-  in
-  let m_campaign_findings =
-    Metrics.gauge reg
-      ~help:"Findings currently in the campaign feed served by /findings."
-      "fpgrind_campaign_findings_total"
-  in
-  let m_campaign_feed_bytes =
-    Metrics.gauge reg ~help:"Size of the campaign findings feed in bytes."
-      "fpgrind_campaign_feed_bytes"
-  in
-  let m_blocks_compiled =
-    Metrics.counter reg
-      ~help:"Vex superblocks pre-decoded into flat compiled statement streams."
-      "fpgrind_blocks_compiled_total"
-  in
-  let m_compile_hits =
-    Metrics.counter reg
-      ~help:"Program executions served from the compiled-block cache."
-      "fpgrind_compile_cache_hits_total"
-  in
+  sampled `Gauge
+    ~help:"Truncated trailing JSONL store records skipped since start."
+    "fpgrind_store_corrupt_lines_total" Fleet.Store.corrupt_tail_total;
+  sampled `Counter
+    ~help:
+      "Torn JSONL store records skipped by lenient loads. Monotone \
+       counter view of the same signal as the corrupt-lines gauge."
+    "fpgrind_store_torn_records_total" Fleet.Store.corrupt_tail_total;
+  let feed_stat f () = Option.fold ~none:0 ~some:f (findings_feed cfg) in
+  sampled `Gauge
+    ~help:"Findings currently in the campaign feed served by /findings."
+    "fpgrind_campaign_findings_total" (feed_stat feed_lines);
+  sampled `Gauge ~help:"Size of the campaign findings feed in bytes."
+    "fpgrind_campaign_feed_bytes" (feed_stat String.length);
+  sampled `Counter
+    ~help:"Vex superblocks pre-decoded into flat compiled statement streams."
+    "fpgrind_blocks_compiled_total" Vex.Compile.blocks_compiled_total;
+  sampled `Counter
+    ~help:"Program executions served from the compiled-block cache."
+    "fpgrind_compile_cache_hits_total" Vex.Compile.cache_hits_total;
   let m_regimes =
     Metrics.counter reg
       ~help:
@@ -263,115 +270,73 @@ let create (cfg : config) : t =
       ~help:"Point evaluations spent by regime threshold searches."
       "fpgrind_regime_search_points_total"
   in
-  let m_active_conns =
-    Metrics.gauge reg ~help:"Client connections currently open."
-      "fpgrind_active_connections"
-  in
+  sampled `Gauge ~help:"Client connections currently open."
+    "fpgrind_active_connections" (fun () -> Atomic.get conns);
   let m_ratelimited =
     Metrics.counter reg
       ~help:"Requests refused with 503 by the per-client token bucket."
       "fpgrind_ratelimited_total"
   in
-  let m_shard_restarts =
-    Metrics.gauge reg
-      ~help:
-        "Shard workers respawned by the parent after a crash or kill \
-         (0 when not running under the shard layer)."
-      "fpgrind_shard_restarts_total"
+  sampled `Gauge
+    ~help:
+      "Shard workers respawned by the parent after a crash or kill \
+       (0 when not running under the shard layer)."
+    "fpgrind_shard_restarts_total" (fun () -> shard_restarts cfg);
+  (* called on each outcome this server's pool hands back, so jobs other
+     code runs in the same process (campaign chunks, other servers) are
+     not counted here *)
+  let count_job (o : Fleet.outcome) =
+    let status = [ Fleet.Store.status_to_string o.Fleet.o_status ] in
+    let inc_by c n = Metrics.inc ~by:(float_of_int n) c [] in
+    let sanitize = o.Fleet.o_engine = "sanitize"
+    and tiered = o.Fleet.o_engine = "tiered" in
+    Metrics.inc m_jobs status;
+    Metrics.observe m_job_seconds o.Fleet.o_wall_s;
+    if sanitize then Metrics.inc m_sanitize_jobs status;
+    if tiered then Metrics.inc m_tiered_jobs status;
+    match o.Fleet.o_payload with
+    | None -> ()
+    | Some p -> (
+        let m = p.Fleet.p_metrics in
+        if sanitize then inc_by m_sanitize_findings m.Fleet.m_causes;
+        if tiered then begin
+          inc_by m_tiered_escalations m.Fleet.m_escalations;
+          inc_by m_tiered_slice_stmts m.Fleet.m_slice_stmts
+        end;
+        match p.Fleet.p_regime with
+        | Some rs ->
+            inc_by m_regimes rs.Fleet.rs_regimes;
+            inc_by m_regime_points rs.Fleet.rs_search_points
+        | None -> ())
   in
-  (* warm the cache from the store, tolerating a torn tail *)
-  let cache = Hashtbl.create 97 in
-  let persisted = ref [] in
-  (match cfg.store_path with
-  | Some path when Sys.file_exists path ->
-      let outcomes, _skipped = Fleet.Store.load_lenient path in
-      List.iter
-        (fun (o : Fleet.outcome) ->
-          persisted := o :: !persisted;
-          match o.Fleet.o_status with
-          | (Fleet.Done | Fleet.Cached) when o.Fleet.o_key <> "" ->
-              Hashtbl.replace cache o.Fleet.o_key o
-          | _ -> ())
-        outcomes
-  | _ -> ());
-  let listen_fd =
-    match cfg.listen_fd with
-    | Some fd -> fd
-    | None ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        (try
-           Unix.bind fd
-             (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-           Unix.listen fd 128
-         with e ->
-           (try Unix.close fd with _ -> ());
-           raise e);
-        fd
-  in
-  (* Non-blocking accept: with several shard workers select()ing on one
-     inherited socket, a connection that wakes everyone is accepted by
-     exactly one — the losers see EAGAIN instead of blocking. *)
-  Unix.set_nonblock listen_fd;
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> cfg.port
-  in
-  let wake_r, wake_w = Unix.pipe () in
-  let t =
-    {
-      cfg;
-      pool = Fleet.Pool.create ~queue:cfg.queue ~jobs:cfg.jobs ();
-      reg;
-      m_requests;
-      m_request_seconds;
-      m_queue_depth;
-      m_in_flight;
-      m_cache_hits;
-      m_cache_misses;
-      m_rejected;
-      m_jobs;
-      m_job_seconds;
-      m_sanitize_jobs;
-      m_sanitize_findings;
-      m_tiered_jobs;
-      m_tiered_escalations;
-      m_tiered_slice_stmts;
-      m_store_corrupt;
-      m_store_torn;
-      m_campaign_findings;
-      m_campaign_feed_bytes;
-      m_blocks_compiled;
-      m_compile_hits;
-      m_regimes;
-      m_regime_points;
-      m_active_conns;
-      m_ratelimited;
-      m_shard_restarts;
-      shared = Option.map Cachefile.create cfg.shared_cache_path;
-      limiter =
-        Option.map
-          (fun rate -> Ratelimit.create ~rate ~burst:cfg.rate_burst)
-          cfg.rate_limit;
-      torn_seen = 0;
-      compiled_seen = 0;
-      compile_hits_seen = 0;
-      cache_mu = Mutex.create ();
-      cache;
-      persisted = !persisted;
-      listen_fd;
-      bound_port;
-      stop_flag = Atomic.make false;
-      wake_r;
-      wake_w;
-      conn_mu = Mutex.create ();
-      conn_cond = Condition.create ();
-      conns = 0;
-    }
-  in
-  install_observer t;
-  t
+  {
+    cfg;
+    pool;
+    reg;
+    m_requests;
+    m_request_seconds;
+    m_cache_hits;
+    m_cache_misses;
+    m_rejected;
+    m_ratelimited;
+    count_job;
+    shared = Option.map Cachefile.create cfg.shared_cache_path;
+    limiter =
+      Option.map
+        (fun rate -> Ratelimit.create ~rate ~burst:cfg.rate_burst)
+        cfg.rate_limit;
+    cache_mu = Mutex.create ();
+    cache;
+    persisted = !persisted;
+    listen_fd;
+    bound_port;
+    stop_flag = Atomic.make false;
+    wake_r;
+    wake_w;
+    conn_mu = Mutex.create ();
+    conn_cond = Condition.create ();
+    conns;
+  }
 
 (* ---------- building analysis jobs from request bodies ---------- *)
 
@@ -656,6 +621,7 @@ let run_spec t rq (sp : Fleet.spec) ~cacheable : Http.response =
       | None -> overloaded_response t
       | Some ticket ->
           let o = Fleet.Pool.await t.pool ticket in
+          t.count_job o;
           record t o;
           outcome_response o)
 
@@ -678,93 +644,15 @@ let handle_fuzz t rq =
 
 let handle_healthz _t _rq = Http.text_response 200 "ok\n"
 
-(* The campaign findings feed: the raw append-only JSONL file, served
-   verbatim so a consumer sees exactly what the campaign wrote (the
-   byte-identity contract extends to the wire). An unconfigured server
-   404s; a configured one whose campaign has found nothing yet serves
-   an empty feed. *)
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let findings_feed t : string option =
-  match t.cfg.findings_path with
-  | None -> None
-  | Some path ->
-      Some (if Sys.file_exists path then read_whole_file path else "")
-
 let handle_findings t _rq =
-  match findings_feed t with
+  match findings_feed t.cfg with
   | None -> Http.error_response 404 "no findings feed configured"
   | Some body ->
       Http.response
         ~headers:[ ("content-type", "application/x-ndjson") ]
         200 body
 
-let update_campaign_metrics t =
-  match findings_feed t with
-  | None -> ()
-  | Some body ->
-      let findings =
-        List.length
-          (List.filter
-             (fun l -> String.trim l <> "")
-             (String.split_on_char '\n' body))
-      in
-      Metrics.set t.m_campaign_findings (float_of_int findings);
-      Metrics.set t.m_campaign_feed_bytes (float_of_int (String.length body))
-
-(* The shard parent's view of the world, for this worker's /metrics.
-   Written atomically (temp + rename) by Shard.run; absent or torn files
-   read as 0 restarts. *)
-let shard_restarts t : int =
-  match t.cfg.shard_status_path with
-  | None -> 0
-  | Some path -> (
-      if not (Sys.file_exists path) then 0
-      else
-        match
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with
-        | src -> (
-            match Json.of_string (String.trim src) with
-            | j -> Json.get_int "restarts" j
-            | exception _ -> 0)
-        | exception Sys_error _ -> 0)
-
 let handle_metrics t _rq =
-  Metrics.set t.m_queue_depth (float_of_int (Fleet.Pool.queue_depth t.pool));
-  Metrics.set t.m_in_flight (float_of_int (Fleet.Pool.in_flight t.pool));
-  Mutex.lock t.conn_mu;
-  Metrics.set t.m_active_conns (float_of_int t.conns);
-  Mutex.unlock t.conn_mu;
-  Metrics.set t.m_shard_restarts (float_of_int (shard_restarts t));
-  let torn = Fleet.Store.corrupt_tail_total () in
-  Metrics.set t.m_store_corrupt (float_of_int torn);
-  (* counters are inc-only, so surface the monotone total as a delta
-     against the last scrape *)
-  if torn > t.torn_seen then begin
-    Metrics.inc ~by:(float_of_int (torn - t.torn_seen)) t.m_store_torn [];
-    t.torn_seen <- torn
-  end;
-  let compiled = Vex.Compile.blocks_compiled_total () in
-  if compiled > t.compiled_seen then begin
-    Metrics.inc
-      ~by:(float_of_int (compiled - t.compiled_seen))
-      t.m_blocks_compiled [];
-    t.compiled_seen <- compiled
-  end;
-  let hits = Vex.Compile.cache_hits_total () in
-  if hits > t.compile_hits_seen then begin
-    Metrics.inc ~by:(float_of_int (hits - t.compile_hits_seen)) t.m_compile_hits [];
-    t.compile_hits_seen <- hits
-  end;
-  update_campaign_metrics t;
   Http.response
     ~headers:
       [ ("content-type", "text/plain; version=0.0.4; charset=utf-8") ]
@@ -855,14 +743,11 @@ let handle_connection t fd ~peer =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let conn_begin t =
-  Mutex.lock t.conn_mu;
-  t.conns <- t.conns + 1;
-  Mutex.unlock t.conn_mu
+let conn_begin t = Atomic.incr t.conns
 
 let conn_end t =
   Mutex.lock t.conn_mu;
-  t.conns <- t.conns - 1;
+  Atomic.decr t.conns;
   Condition.broadcast t.conn_cond;
   Mutex.unlock t.conn_mu
 
@@ -920,7 +805,7 @@ let run t =
   accept_loop ();
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   Mutex.lock t.conn_mu;
-  while t.conns > 0 do
+  while Atomic.get t.conns > 0 do
     Condition.wait t.conn_cond t.conn_mu
   done;
   Mutex.unlock t.conn_mu;
@@ -928,6 +813,5 @@ let run t =
   flush_store t;
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
-  Fleet.clear_observer ();
   if not t.cfg.quiet then
     Printf.eprintf "fpgrind serve: drained, store flushed, exiting\n%!"

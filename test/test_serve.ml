@@ -48,14 +48,13 @@ let test_metrics_render () =
   let c =
     Metrics.counter reg ~labels:[ "endpoint" ] ~help:"requests" "t_requests_total"
   in
-  let g = Metrics.gauge reg ~help:"depth" "t_depth" in
+  Metrics.sampled reg `Gauge ~help:"depth" "t_depth" (fun () -> 3.0);
   let h =
     Metrics.histogram reg ~buckets:[| 0.1; 1.0 |] ~help:"seconds" "t_seconds"
   in
   Metrics.inc c [ "/analyze" ];
   Metrics.inc c [ "/analyze" ];
   Metrics.inc c [ "/healthz" ];
-  Metrics.set g 3.0;
   Metrics.observe h 0.0625;
   Metrics.observe h 0.5;
   Metrics.observe h 5.0;
@@ -209,6 +208,39 @@ let strip_volatile (j : Json.t) : Json.t =
 let get port path = Client.request ~port ~meth:"GET" ~path ()
 let post port path body = Client.request ~port ~meth:"POST" ~path ~body ()
 
+(* Wait, up to a deadline, until at most [n] connections are open: a
+   client's close reaches the server's connection count only once its
+   thread sees EOF, so a scrape right after a one-shot request could
+   still count that request's connection. *)
+let await_connections srv n =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Server.connections srv > n && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done
+
+(* the value of one exposition series, 0 when it has no sample line *)
+let sample (m : string) (series : string) : float =
+  List.fold_left
+    (fun acc line ->
+      match String.split_on_char ' ' line with
+      | [ s; v ] when s = series -> float_of_string v
+      | _ -> acc)
+    0.0 (String.split_on_char '\n' m)
+
+let jobs_ok port =
+  sample (get port "/metrics").Client.c_body
+    "fpgrind_fleet_jobs_total{status=\"ok\"}"
+
+let with_server cfg f =
+  let srv, th, port = start_server cfg in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      Thread.join th)
+    (fun () -> f srv port)
+
+let quiet_config = { Server.default_config with port = 0; quiet = true }
+
 (* a MiniC program that analyzes slowly enough to pile up the queue;
    [salt] makes each program's content hash distinct so none is a cache
    hit *)
@@ -310,7 +342,9 @@ let test_server_end_to_end () =
         "minic that does not compile" 400 (bad "/analyze" "int main( {");
       Alcotest.(check int)
         "fpcore that does not parse" 400 (bad "/analyze" "(FPCore (x)");
-      (* the scrape reflects what just happened *)
+      (* the scrape reflects what just happened; its own connection is
+         the only one open *)
+      await_connections srv 0;
       let m = (get port "/metrics").Client.c_body in
       let has needle =
         try
@@ -327,10 +361,10 @@ let test_server_end_to_end () =
         (has "fpgrind_rejected_total 0");
       Alcotest.(check bool) "sanitize jobs counted" true
         (has "fpgrind_sanitize_jobs_total{status=\"ok\"} 1");
-      (* 4 jobs through the pool, plus the in-process exec_one above —
-         the engine observer is global, so it sees that one too *)
-      Alcotest.(check bool) "fleet jobs observed" true
-        (has "fpgrind_fleet_jobs_total{status=\"ok\"} 5");
+      (* the 4 jobs through the server's pool; the in-process exec_one
+         above is not a server job *)
+      Alcotest.(check bool) "fleet jobs counted" true
+        (has "fpgrind_fleet_jobs_total{status=\"ok\"} 4");
       (* the serve-v2 gauges: the metrics scrape itself is the one open
          connection; no limiter and no shards are configured, but both
          series must still be materialized at zero *)
@@ -384,6 +418,75 @@ let test_server_end_to_end () =
         "+Inf bucket saw every /analyze request" true
         (List.nth counts (List.length counts - 1) >= 4))
 
+(* ---------- the exposition and what it counts ---------- *)
+
+(* Scrapers (perfbench's serve workloads, scripts/ci.sh, dashboards) key
+   on these families in this order. *)
+let test_exposition_pin () =
+  with_server quiet_config (fun _srv port ->
+      let families =
+        List.filter_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ "#"; "TYPE"; fam; kind ] -> Some (fam, kind)
+            | _ -> None)
+          (String.split_on_char '\n' (get port "/metrics").Client.c_body)
+      in
+      Alcotest.(check (list (pair string string)))
+        "families and types, in order"
+        [
+          ("fpgrind_http_requests_total", "counter");
+          ("fpgrind_http_request_seconds", "histogram");
+          ("fpgrind_queue_depth", "gauge");
+          ("fpgrind_jobs_in_flight", "gauge");
+          ("fpgrind_cache_hits_total", "counter");
+          ("fpgrind_cache_misses_total", "counter");
+          ("fpgrind_rejected_total", "counter");
+          ("fpgrind_fleet_jobs_total", "counter");
+          ("fpgrind_fleet_job_seconds", "histogram");
+          ("fpgrind_sanitize_jobs_total", "counter");
+          ("fpgrind_sanitize_findings_total", "counter");
+          ("fpgrind_tiered_jobs_total", "counter");
+          ("fpgrind_tiered_escalations_total", "counter");
+          ("fpgrind_tiered_slice_stmts_total", "counter");
+          ("fpgrind_store_corrupt_lines_total", "gauge");
+          ("fpgrind_store_torn_records_total", "counter");
+          ("fpgrind_campaign_findings_total", "gauge");
+          ("fpgrind_campaign_feed_bytes", "gauge");
+          ("fpgrind_blocks_compiled_total", "counter");
+          ("fpgrind_compile_cache_hits_total", "counter");
+          ("fpgrind_regimes_inferred_total", "counter");
+          ("fpgrind_regime_search_points_total", "counter");
+          ("fpgrind_active_connections", "gauge");
+          ("fpgrind_ratelimited_total", "counter");
+          ("fpgrind_shard_restarts_total", "gauge");
+        ]
+        families)
+
+(* A campaign runs its chunks through Fleet.run inside the one /fuzz
+   job; only that job ran on the server's pool. *)
+let test_fuzz_is_one_job () =
+  with_server quiet_config (fun _srv port ->
+      let before = jobs_ok port in
+      Alcotest.(check int)
+        "fuzz status" 200
+        (post port "/fuzz?iters=40" "").Client.c_status;
+      Alcotest.(check (float 0.0)) "one fleet job" (before +. 1.0) (jobs_ok port))
+
+(* Two servers in one process count their own jobs: stopping one leaves
+   the other counting. *)
+let test_sibling_stop_keeps_counting () =
+  with_server quiet_config (fun _srv port ->
+      with_server quiet_config (fun _ _ -> ());
+      let before = jobs_ok port in
+      Alcotest.(check int)
+        "analyze status" 200
+        (post port "/analyze?precision=64&name=sibling.mc"
+           "int main() { double x = 0.1 + 0.7; print(x); return 0; }")
+          .Client.c_status;
+      Alcotest.(check (float 0.0))
+        "job counted after the sibling stopped" (before +. 1.0) (jobs_ok port))
+
 (* ---------- keep-alive end to end ---------- *)
 
 let test_server_keepalive () =
@@ -434,6 +537,7 @@ let test_server_keepalive () =
             (Json.get_str "status"
                (Json.of_string (String.trim r2.Client.c_body)));
           (* the scrape sees exactly one open connection: ours *)
+          await_connections srv 1;
           let m = (req "GET" "/metrics").Client.c_body in
           Alcotest.(check bool)
             "one active connection" true
@@ -772,6 +876,10 @@ let () =
           Alcotest.test_case "shutdown drains" `Quick test_server_shutdown_drains;
           Alcotest.test_case "regime inference endpoint" `Quick
             test_server_regimes;
+          Alcotest.test_case "exposition pin" `Quick test_exposition_pin;
+          Alcotest.test_case "fuzz is one fleet job" `Quick test_fuzz_is_one_job;
+          Alcotest.test_case "sibling stop keeps counting" `Quick
+            test_sibling_stop_keeps_counting;
         ] );
       ( "cli",
         [
