@@ -111,19 +111,13 @@ let improve =
               with_wall (fun () ->
                   Regime.infer ~beam ~depth ~points ~seed ~opts b)
             in
-            let act_after =
-              match r.Regime.re_selected with
-              | "branched" -> r.Regime.re_act_branched
-              | "single" -> r.Regime.re_act_single
-              | _ -> r.Regime.re_act_before
-            in
             Printf.eprintf
               "%-20s %d regimes  %-8s  %s -> %s bits on resample%s\n%!"
               b.Fpcore.Suite.name
               (Regime.selected_regimes r.Regime.re_selected r.Regime.re_regimes)
               r.Regime.re_selected
               (Rewrite.Soundness.fmt_bits r.Regime.re_act_before)
-              (Rewrite.Soundness.fmt_bits act_after)
+              (Rewrite.Soundness.fmt_bits (Regime.act_selected r))
               (if r.Regime.re_soundness.Rewrite.Soundness.r_sound then ""
                else "  UNSOUND");
             report_line r wall)

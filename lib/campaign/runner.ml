@@ -144,12 +144,6 @@ let run_regime (c : config) (i : int) : Findings.finding option =
   let sound = r.Regime.re_soundness.Rewrite.Soundness.r_sound in
   if r.Regime.re_selected = "original" && sound then None
   else begin
-    let after =
-      match r.Regime.re_selected with
-      | "branched" -> r.Regime.re_act_branched
-      | "single" -> r.Regime.re_act_single
-      | _ -> r.Regime.re_act_before
-    in
     Some
       {
         Findings.f_index = i;
@@ -160,7 +154,7 @@ let run_regime (c : config) (i : int) : Findings.finding option =
           Printf.sprintf "%s fix, %d regimes: %.2f -> %.2f bits on resample%s"
             r.Regime.re_selected
             (Regime.selected_regimes r.Regime.re_selected r.Regime.re_regimes)
-            r.Regime.re_act_before after
+            r.Regime.re_act_before (Regime.act_selected r)
             (if sound then "" else " (UNSOUND)");
         f_table = Regime.table r;
         f_repro = "";

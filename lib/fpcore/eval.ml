@@ -19,8 +19,6 @@ let rec eval_f (env : (string * float) list) (e : Ast.expr) : float =
   | Ast.Num f -> f
   | Ast.Const c -> List.assoc c Ast.constants
   | Ast.Var x -> lookup env x
-  | Ast.Op ("-", [ a ]) -> -.eval_f env a
-  | Ast.Op ("+", [ a ]) -> eval_f env a
   | Ast.Op (op, args) -> apply_f op (List.map (eval_f env) args)
   | Ast.If (c, t, e2) -> if eval_b env c then eval_f env t else eval_f env e2
   | Ast.Let (binds, body) ->
@@ -88,13 +86,14 @@ and eval_b env (e : Ast.expr) : bool =
   | Ast.NotE a -> not (eval_b env a)
   | _ -> raise (Eval_error "numeric in boolean position")
 
+(* one operation applied to its evaluated arguments *)
 and apply_f op (args : float list) : float =
   match (op, args) with
-  | "+", a :: (_ :: _ as rest) -> List.fold_left ( +. ) a rest
+  | "-", [ a ] -> -.a
+  | "+", a :: rest -> List.fold_left ( +. ) a rest
   | "-", [ a; b ] -> a -. b
   | "*", a :: (_ :: _ as rest) -> List.fold_left ( *. ) a rest
   | "/", [ a; b ] -> a /. b
-  | "sqrt", [ a ] -> Float.sqrt a
   | _, _ -> Vex.Eval.libm_apply op (Array.of_list args)
 
 (* ---------- reals ---------- *)
@@ -107,18 +106,7 @@ let rec eval_r ~prec (env : (string * B.t) list) (e : Ast.expr) : B.t =
   | Ast.Const "LN2" -> Bignum.Bigfloat_math.ln2 ~prec
   | Ast.Const c -> raise (Eval_error ("unknown constant " ^ c))
   | Ast.Var x -> lookup env x
-  | Ast.Op ("-", [ a ]) -> B.neg (eval_r ~prec env a)
-  | Ast.Op ("+", [ a ]) -> eval_r ~prec env a
-  | Ast.Op (op, args) ->
-      let vals = List.map (eval_r ~prec env) args in
-      begin
-        match (op, vals) with
-        | "+", a :: (_ :: _ as rest) -> List.fold_left (B.add ~prec) a rest
-        | "-", [ a; b ] -> B.sub ~prec a b
-        | "*", a :: (_ :: _ as rest) -> List.fold_left (B.mul ~prec) a rest
-        | "/", [ a; b ] -> B.div ~prec a b
-        | _ -> Vex.Eval.libm_apply_real ~prec op (Array.of_list vals)
-      end
+  | Ast.Op (op, args) -> apply_r ~prec op (List.map (eval_r ~prec env) args)
   | Ast.If (c, t, e2) ->
       if eval_rb ~prec env c then eval_r ~prec env t else eval_r ~prec env e2
   | Ast.Let (binds, body) ->
@@ -187,6 +175,16 @@ and eval_rb ~prec env (e : Ast.expr) : bool =
   | Ast.OrE args -> List.exists (eval_rb ~prec env) args
   | Ast.NotE a -> not (eval_rb ~prec env a)
   | _ -> raise (Eval_error "numeric in boolean position")
+
+(* one operation applied exactly to its evaluated arguments *)
+and apply_r ~prec op (args : B.t list) : B.t =
+  match (op, args) with
+  | "-", [ a ] -> B.neg a
+  | "+", a :: rest -> List.fold_left (B.add ~prec) a rest
+  | "-", [ a; b ] -> B.sub ~prec a b
+  | "*", a :: (_ :: _ as rest) -> List.fold_left (B.mul ~prec) a rest
+  | "/", [ a; b ] -> B.div ~prec a b
+  | _ -> Vex.Eval.libm_apply_real ~prec op (Array.of_list args)
 
 (* run an FPCore on a list of input tuples, returning per-input
    (double result, bits of error against the real evaluation) *)

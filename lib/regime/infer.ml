@@ -12,10 +12,11 @@
    between original / single / branched (a fix that only wins in-sample
    is rejected here, which is what retires the marginal-overfit
    soundiness findings), and the *resample* context is touched only by
-   the final soundness report — never by selection. *)
+   the final soundness report — never by selection. Each step reads its
+   context's scores ([Rewrite.Improve.errors]), so no (expression,
+   point) pair is scored twice. *)
 
 module Ast = Fpcore.Ast
-module B = Bignum.Bigfloat
 module Suite = Fpcore.Suite
 module Improve = Rewrite.Improve
 module Soundness = Rewrite.Soundness
@@ -72,36 +73,16 @@ let official_depth = 4
 let official_options =
   { Search.default_options with Search.penalty_bits = 0.05 }
 
-let mean l = match l with [] -> nan | _ -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
+(* whether [pt] lies in the range (lo, hi] on [var] *)
+let in_range ~var ~lo ~hi (pt : Improve.sample) : bool =
+  match List.assoc_opt var pt with
+  | None -> false
+  | Some v ->
+      (match lo with Some l -> v > l | None -> true)
+      && match hi with Some h -> v <= h | None -> true
 
-(* one point's error bits, None on a domain exit *)
-let point_error ~prec (e : Ast.expr) (pt : (string * float) list) :
-    float option =
-  match
-    let f = Fpcore.Eval.eval_f pt e in
-    let renv = List.map (fun (x, v) -> (x, B.of_float v)) pt in
-    let r = Fpcore.Eval.eval_r ~prec renv e in
-    Ieee.bits_of_error f (B.to_float r)
-  with
-  | bits -> Some bits
-  | exception _ -> None
-
-(* mean error of [e] over the context points within [lo, hi] on [var];
-   domain exits are excluded from the mean but in-range points count *)
-let range_stats ~prec e ~var ~lo ~hi (ctx : Sampler.t) : float * int =
-  let in_range pt =
-    match List.assoc_opt var pt with
-    | None -> false
-    | Some v ->
-        (match lo with Some l -> v > l | None -> true)
-        && match hi with Some h -> v <= h | None -> true
-  in
-  let pts = List.filter in_range ctx in
-  let errs = List.filter_map (point_error ~prec e) pts in
-  ((if errs = [] then 0.0 else mean errs), List.length pts)
-
-let infer ?(beam = 8) ?(depth = 3) ?(prec = 256) ?(points = 24) ?(seed = 42)
-    ?(keep = 6) ?(opts = Search.default_options) ?(min_gain = 0.01) ?threshold
+let infer ?(beam = 8) ?(depth = 3) ?(points = 24) ?(seed = 42) ?(keep = 6)
+    ?(opts = Search.default_options) ?(min_gain = 0.01) ?threshold
     (bench : Suite.bench) : report =
   let core = Suite.core_of bench in
   let e0 = core.Ast.body in
@@ -118,31 +99,29 @@ let infer ?(beam = 8) ?(depth = 3) ?(prec = 256) ?(points = 24) ?(seed = 42)
       ~seed:(Sampler.resample_seed (Sampler.resample_seed seed))
       ~n:points bench
   in
-  let cands = Improve.improve_candidates ~beam ~depth ~prec ~keep e0 search_ctx in
+  let cands = Improve.improve_candidates ~beam ~depth ~keep e0 search_ctx in
   let cand_arr = Array.of_list (List.map snd cands) in
   let single = cand_arr.(0) in
   (* branch only over points the original can evaluate: points outside
      the original's domain say nothing about where to cut *)
-  let pts =
-    List.filter (fun pt -> point_error ~prec e0 pt <> None) search_ctx
+  let e0_errs = Improve.errors search_ctx e0 in
+  let in_domain a =
+    List.filteri (fun i _ -> Lazy.force e0_errs.(i) <> None) (Array.to_list a)
   in
+  let pts = in_domain search_ctx.Improve.points in
   let n = List.length pts in
   let k = Array.length cand_arr in
-  let search_points = ref 0 in
-  let split =
-    if n < 4 || core.Ast.args = [] || k < 2 then None
+  (* search points: matrix entries plus probes, scored before or not *)
+  let split, search_points =
+    if n < 4 || core.Ast.args = [] || k < 2 then (None, 0)
     else begin
       let errors =
         Array.map
           (fun c ->
             Array.of_list
               (List.map
-                 (fun pt ->
-                   incr search_points;
-                   match point_error ~prec c pt with
-                   | Some b -> b
-                   | None -> 64.0)
-                 pts))
+                 (function (lazy (Some b)) -> b | (lazy None) -> 64.0)
+                 (in_domain (Improve.errors search_ctx c))))
           cand_arr
       in
       let vars =
@@ -155,12 +134,12 @@ let infer ?(beam = 8) ?(depth = 3) ?(prec = 256) ?(points = 24) ?(seed = 42)
           core.Ast.args
       in
       match Search.search ~opts ~vars ~errors () with
-      | None -> None
+      | None -> (None, n * k)
       | Some s ->
-          let eval c pt = point_error ~prec cand_arr.(c) pt in
+          (* probes score fresh midpoints, outside any context *)
+          let eval c pt = Improve.error_at cand_arr.(c) pt in
           let s, probes = Search.refine ~opts ~points:pts ~eval s in
-          search_points := !search_points + probes;
-          Some s
+          (Some s, (n * k) + probes)
     end
   in
   let branched =
@@ -170,53 +149,55 @@ let infer ?(beam = 8) ?(depth = 3) ?(prec = 256) ?(points = 24) ?(seed = 42)
         Emit.if_chain ~var:s.Search.s_var ~thresholds:s.Search.s_thresholds
           ~cands:(List.map (fun i -> cand_arr.(i)) s.Search.s_cands)
   in
-  let mean_on ctx e = Improve.mean_error_bits ~prec e ctx in
-  let pred_before = mean_on search_ctx e0 in
-  let pred_single = mean_on search_ctx single in
-  let pred_branched = mean_on search_ctx branched in
-  let val_before = mean_on val_ctx e0 in
-  let val_single = mean_on val_ctx single in
-  let val_branched = mean_on val_ctx branched in
-  let act_before = mean_on resample_ctx e0 in
-  let act_single = mean_on resample_ctx single in
-  let act_branched = mean_on resample_ctx branched in
+  (* (original, single, branched) mean error on one context *)
+  let means ctx =
+    let mean e = Improve.mean_error_bits e ctx in
+    (mean e0, mean single, mean branched)
+  in
+  let pred_before, pred_single, pred_branched = means search_ctx in
+  let val_before, val_single, val_branched = means val_ctx in
+  let act_before, act_single, act_branched = means resample_ctx in
   (* Selection: the fix must strictly improve on the validation context
      AND clear [min_gain] predicted bits on the search context it was
      optimized against — a candidate that cannot beat the original by
      more than noise even in-sample is noise-chasing, and shipping it is
      what used to produce the marginal soundiness findings. Everything
      else falls back to the original, sound by equality. *)
-  let selected, fix =
+  let selected, fix, pred_fix =
     let cand_label, cand_expr, cand_val, cand_pred =
       if val_branched < val_single then
         ("branched", branched, val_branched, pred_branched)
       else ("single", single, val_single, pred_single)
     in
     if cand_val < val_before && pred_before -. cand_pred >= min_gain then
-      (cand_label, cand_expr)
-    else ("original", e0)
+      (cand_label, cand_expr, cand_pred)
+    else ("original", e0, pred_before)
+  in
+  (* one regime row: the candidate's mean error over the points [keep]
+     accepts, and how many it accepts; domain exits are excluded from
+     the mean (0.0 when none is left) but count as accepted *)
+  let regime ~lo ~hi cand keep =
+    let e = cand_arr.(cand) in
+    let stats ctx =
+      let total, valid, domain_errors = Improve.tally ctx keep e in
+      ( (if valid = 0 then 0.0 else total /. float_of_int valid),
+        valid + domain_errors )
+    in
+    let predicted, np = stats search_ctx and actual, nr = stats resample_ctx in
+    {
+      rg_lo = lo;
+      rg_hi = hi;
+      rg_cand = cand;
+      rg_expr = Soundness.render_expr e;
+      rg_predicted = predicted;
+      rg_actual = actual;
+      rg_search_points = np;
+      rg_resample_points = nr;
+    }
   in
   let regimes =
     match split with
-    | None ->
-        let mean_of ctx =
-          match List.filter_map (point_error ~prec single) ctx with
-          | [] -> 0.0
-          | errs -> mean errs
-        in
-        let predicted = mean_of search_ctx and actual = mean_of resample_ctx in
-        [
-          {
-            rg_lo = None;
-            rg_hi = None;
-            rg_cand = 0;
-            rg_expr = Soundness.render_expr single;
-            rg_predicted = predicted;
-            rg_actual = actual;
-            rg_search_points = List.length search_ctx;
-            rg_resample_points = List.length resample_ctx;
-          };
-        ]
+    | None -> [ regime ~lo:None ~hi:None 0 (fun _ -> true) ]
     | Some s ->
         let bounds =
           (* (lo, hi) per segment from the ascending thresholds *)
@@ -228,43 +209,23 @@ let infer ?(beam = 8) ?(depth = 3) ?(prec = 256) ?(points = 24) ?(seed = 42)
         in
         List.map2
           (fun (lo, hi) cand ->
-            let e = cand_arr.(cand) in
-            let predicted, np =
-              range_stats ~prec e ~var:s.Search.s_var ~lo ~hi search_ctx
-            and actual, nr =
-              range_stats ~prec e ~var:s.Search.s_var ~lo ~hi resample_ctx
-            in
-            {
-              rg_lo = lo;
-              rg_hi = hi;
-              rg_cand = cand;
-              rg_expr = Soundness.render_expr e;
-              rg_predicted = predicted;
-              rg_actual = actual;
-              rg_search_points = np;
-              rg_resample_points = nr;
-            })
+            regime ~lo ~hi cand (in_range ~var:s.Search.s_var ~lo ~hi))
           bounds s.Search.s_cands
   in
   let spots =
-    let all = Localize.local_errors ~prec e0 search_ctx in
+    let all = Localize.local_errors e0 search_ctx in
     match threshold with
     | Some t -> Localize.above ~threshold:t all
     | None -> Localize.above all
   in
   let soundness =
-    Soundness.report_of ~prec ~name:bench.Suite.name ~seed ~points
+    Soundness.report_of ~name:bench.Suite.name ~seed ~points
       ~resample:resample_ctx
       {
         Improve.original = e0;
         improved = fix;
         error_before = pred_before;
-        error_after =
-          (match selected with
-          | "branched" -> pred_branched
-          | "single" -> pred_single
-          | _ -> pred_before);
-        steps = [];
+        error_after = pred_fix;
       }
   in
   {
@@ -292,8 +253,15 @@ let infer ?(beam = 8) ?(depth = 3) ?(prec = 256) ?(points = 24) ?(seed = 42)
     re_act_branched = act_branched;
     re_spots = spots;
     re_soundness = soundness;
-    re_search_points = !search_points;
+    re_search_points = search_points;
   }
+
+(* resample error of the fix selection settled on *)
+let act_selected (r : report) : float =
+  match r.re_selected with
+  | "branched" -> r.re_act_branched
+  | "single" -> r.re_act_single
+  | _ -> r.re_act_before
 
 (* thresholds as (var, value) pairs, the shape the fleet JSONL carries —
    empty unless selection actually shipped the branched fix *)

@@ -25,24 +25,6 @@ type spot = {
   sp_points : int;  (* points where this operation evaluated *)
 }
 
-(* exact application of one operation, mirroring [Fpcore.Eval.eval_r] *)
-let apply_r ~prec op (vals : B.t list) : B.t =
-  match (op, vals) with
-  | "-", [ a ] -> B.neg a
-  | "+", [ a ] -> a
-  | "+", a :: (_ :: _ as rest) -> List.fold_left (B.add ~prec) a rest
-  | "-", [ a; b ] -> B.sub ~prec a b
-  | "*", a :: (_ :: _ as rest) -> List.fold_left (B.mul ~prec) a rest
-  | "/", [ a; b ] -> B.div ~prec a b
-  | _ -> Vex.Eval.libm_apply_real ~prec op (Array.of_list vals)
-
-(* float application of one operation to rounded exact arguments *)
-let apply_f op (vals : float list) : float =
-  match (op, vals) with
-  | "-", [ a ] -> -.a
-  | "+", [ a ] -> a
-  | _ -> Fpcore.Eval.apply_f op vals
-
 type acc = {
   mutable a_sum : float;
   mutable a_max : float;
@@ -51,9 +33,9 @@ type acc = {
   a_order : int;  (* first-visit rank, for deterministic output *)
 }
 
-let local_errors ?(prec = 256) (e : Ast.expr) (ctx : Sampler.t) : spot list =
+let local_errors (e : Ast.expr) (ctx : Sampler.t) : spot list =
+  let prec = Rewrite.Improve.prec in
   let spots : (int list, acc) Hashtbl.t = Hashtbl.create 32 in
-  let next_order = ref 0 in
   let record path expr err =
     let a =
       match Hashtbl.find_opt spots path with
@@ -65,10 +47,9 @@ let local_errors ?(prec = 256) (e : Ast.expr) (ctx : Sampler.t) : spot list =
               a_max = 0.0;
               a_count = 0;
               a_expr = expr;
-              a_order = !next_order;
+              a_order = Hashtbl.length spots;
             }
           in
-          incr next_order;
           Hashtbl.replace spots path a;
           a
     in
@@ -80,8 +61,8 @@ let local_errors ?(prec = 256) (e : Ast.expr) (ctx : Sampler.t) : spot list =
     match e with
     | Ast.Op (op, args) ->
         let vals = List.mapi (fun i a -> walk renv (i :: path) a) args in
-        let r = apply_r ~prec op vals in
-        (match apply_f op (List.map B.to_float vals) with
+        let r = Fpcore.Eval.apply_r ~prec op vals in
+        (match Fpcore.Eval.apply_f op (List.map B.to_float vals) with
         | f -> record (List.rev path) e (Ieee.bits_of_error f (B.to_float r))
         | exception _ -> ());
         r
@@ -106,11 +87,11 @@ let local_errors ?(prec = 256) (e : Ast.expr) (ctx : Sampler.t) : spot list =
     | Ast.Cmp _ | Ast.AndE _ | Ast.OrE _ | Ast.NotE _ ->
         Fpcore.Eval.eval_r ~prec renv e
   in
-  List.iter
+  Array.iter
     (fun pt ->
       let renv = List.map (fun (x, v) -> (x, B.of_float v)) pt in
       try ignore (walk renv [] e) with _ -> ())
-    ctx;
+    ctx.Rewrite.Improve.points;
   Hashtbl.fold (fun path a acc -> (path, a) :: acc) spots []
   |> List.sort (fun (_, a) (_, b) -> compare a.a_order b.a_order)
   |> List.map (fun (path, a) ->

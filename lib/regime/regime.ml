@@ -8,8 +8,9 @@
    per-subexpression error ([Localize]), find the best single-variable
    branch structure under an MDL penalty ([Search]), emit a branched
    FPCore/MiniC fix ([Emit]), and re-validate it on a disjoint resampled
-   context through [Rewrite.Soundness]. [Regime.table] renders the
-   actual-vs-predicted error table; [Regime.to_json] the same as JSON. *)
+   context through [Rewrite.Soundness]; every step reads its context's
+   once-per-expression scores ([Rewrite.Improve.errors]). [Regime.table]
+   renders the actual-vs-predicted error table; [Regime.to_json] as JSON. *)
 
 include Infer
 module Sampler = Sampler

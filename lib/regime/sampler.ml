@@ -1,10 +1,11 @@
-(* The regime point-context sampler. A context is a list of named input
+(* The regime point-context sampler. A context holds named input
    assignments drawn from a benchmark's sampling ranges (the suite's
    stand-in for FPBench :pre preconditions), keyed purely by
    (bench, seed, n): it rides the suite's xorshift64* stream through
-   [Fpcore.Suite.inputs_for], so the same seed always yields the
-   byte-identical context — the property the campaign checkpoints, the
-   soundiness oracle, and the regime tests all lean on.
+   [Fpcore.Suite.inputs_for], so the same seed always yields
+   byte-identical points — the property the campaign checkpoints, the
+   soundiness oracle, and the regime tests all lean on — and scores
+   each expression on them once ([Rewrite.Improve.errors]).
 
    Two contexts matter everywhere in this library: the *search* context
    (seed s) that regimes are inferred on, and the *resample* context
@@ -14,14 +15,13 @@
 
 module Suite = Fpcore.Suite
 
-type t = Rewrite.Improve.sample list
+type t = Rewrite.Improve.context
 
 (* disjoint-stream seed for the validation context (re-exported so
    callers need only one module) *)
 let resample_seed = Rewrite.Soundness.resample_seed
 
-let context ?(seed = 42) ~(n : int) (bench : Suite.bench) : t =
-  Rewrite.Soundness.samples_of_bench ~seed ~n bench
+let context = Rewrite.Soundness.samples_of_bench
 
 (* Ad-hoc expressions (CLI `improve` on raw FPCore source) have no suite
    entry; a synthetic bench built from per-variable ranges reuses the
@@ -48,4 +48,4 @@ let fingerprint (ctx : t) : string =
        (fun pt ->
          String.concat ","
            (List.map (fun (x, v) -> Printf.sprintf "%s=%h" x v) pt))
-       ctx)
+       (Array.to_list ctx.Rewrite.Improve.points))

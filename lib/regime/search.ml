@@ -186,7 +186,7 @@ let search ?(opts = default_options) ~(vars : (string * float array) list)
    at assignment [pt] (error bits; None = domain exit, scored as the
    worst case 64). Returns the refined split and the number of probe
    evaluations spent. *)
-let refine ?(opts = default_options) ~(points : Sampler.t)
+let refine ?(opts = default_options) ~(points : Rewrite.Improve.sample list)
     ~(eval : int -> (string * float) list -> float option) (split : split) :
     split * int =
   let probes = ref 0 in

@@ -6,36 +6,77 @@
    more-accurate equivalent comes out (paper section 3.1). *)
 
 module Ast = Fpcore.Ast
+module B = Bignum.Bigfloat
 
 type sample = (string * float) list
 (* one assignment of input variables *)
 
-(* Mean measured error over the samples, with the domain errors counted
-   separately: a sample where evaluation raises (sqrt of a negative, a
-   log of zero under some candidate rewrite) says nothing about rounding
-   error, so it must not enter the mean — scoring it as a flat 64 bits
-   used to let one out-of-domain sample poison an otherwise-accurate
-   candidate. A candidate with no in-domain samples at all scores
-   [infinity] (it computes nothing, so it must never win the beam). *)
-let error_bits_stats ?(prec = 256) (e : Ast.expr) (samples : sample list) :
+(* working precision of the exact evaluation behind every score *)
+let prec = 256
+
+(* One point's error bits, float against exact evaluation; [None] is a
+   domain exit (evaluation raised: sqrt of a negative, a log of zero
+   under some rewrite), which says nothing about rounding error. *)
+let error_at (e : Ast.expr) (pt : sample) : float option =
+  match
+    let f = Fpcore.Eval.eval_f pt e in
+    let renv = List.map (fun (x, v) -> (x, B.of_float v)) pt in
+    (f, Fpcore.Eval.eval_r ~prec renv e)
+  with
+  | f, r -> Some (Ieee.bits_of_error f (B.to_float r))
+  | exception _ -> None
+
+(* A point context (Herbie's pcontext): sample points plus a table of the
+   expressions scored on them, so each (expression, point) pair is scored
+   at most once, and only when asked for. Keys are [Marshal] images:
+   [compare] equates [Num 0.0] and [Num (-0.0)], which evaluate
+   differently ((/ 1 0) is +inf, (/ 1 -0) is -inf). A context belongs to
+   the job that built it. *)
+type context = {
+  points : sample array;
+  scores : (string, float option Lazy.t array) Hashtbl.t;
+}
+
+let context (points : sample list) : context =
+  { points = Array.of_list points; scores = Hashtbl.create 64 }
+
+let key (e : Ast.expr) : string = Marshal.to_string e []
+
+(* [e]'s error at each point of [ctx], in point order; an entry is
+   scored when it is first forced *)
+let errors (ctx : context) (e : Ast.expr) : float option Lazy.t array =
+  let k = key e in
+  match Hashtbl.find_opt ctx.scores k with
+  | Some errs -> errs
+  | None ->
+      let errs = Array.map (fun pt -> lazy (error_at e pt)) ctx.points in
+      Hashtbl.add ctx.scores k errs;
+      errs
+
+(* (error sum, in-domain points, domain exits) of [e] over the points of
+   [ctx] that [keep] accepts, summed in point order *)
+let tally (ctx : context) (keep : sample -> bool) (e : Ast.expr) :
     float * int * int =
-  let total, valid, domain_errors =
-    List.fold_left
-      (fun (total, valid, domain_errors) env ->
-        match
-          let f = Fpcore.Eval.eval_f env e in
-          let renv =
-            List.map (fun (x, v) -> (x, Bignum.Bigfloat.of_float v)) env
-          in
-          let r = Fpcore.Eval.eval_r ~prec renv e in
-          (f, r)
-        with
-        | f, r ->
-            let err = Ieee.bits_of_error f (Bignum.Bigfloat.to_float r) in
-            (total +. err, valid + 1, domain_errors)
-        | exception _ -> (total, valid, domain_errors + 1))
-      (0.0, 0, 0) samples
-  in
+  let total = ref 0.0 and valid = ref 0 and domain_errors = ref 0 in
+  Array.iteri
+    (fun i err ->
+      if keep ctx.points.(i) then
+        match err with
+        | (lazy (Some bits)) ->
+            total := !total +. bits;
+            incr valid
+        | (lazy None) -> incr domain_errors)
+    (errors ctx e);
+  (!total, !valid, !domain_errors)
+
+(* Mean measured error over the context, with the domain errors counted
+   separately: a domain exit must not enter the mean — scoring it as a
+   flat 64 bits used to let one out-of-domain sample poison an
+   otherwise-accurate candidate. A candidate with no in-domain samples
+   at all scores [infinity] (it computes nothing, so it must never win
+   the beam). *)
+let error_bits_stats (e : Ast.expr) (ctx : context) : float * int * int =
+  let total, valid, domain_errors = tally ctx (fun _ -> true) e in
   let mean =
     if valid > 0 then total /. float_of_int valid
     else if domain_errors > 0 then infinity
@@ -43,8 +84,8 @@ let error_bits_stats ?(prec = 256) (e : Ast.expr) (samples : sample list) :
   in
   (mean, valid, domain_errors)
 
-let mean_error_bits ?prec (e : Ast.expr) (samples : sample list) : float =
-  let mean, _, _ = error_bits_stats ?prec e samples in
+let mean_error_bits (e : Ast.expr) (ctx : context) : float =
+  let mean, _, _ = error_bits_stats e ctx in
   mean
 
 (* Candidate score over the FULL point context. The bare mean silently
@@ -56,9 +97,9 @@ let mean_error_bits ?prec (e : Ast.expr) (samples : sample list) : float =
    stay excluded; a domain exit the candidate *introduces* counts as a
    worst-case 64 bits, so shrinking the domain can never look like an
    accuracy win. *)
-let score_on_context ?(prec = 256) ~(baseline_domain_errors : int)
-    (e : Ast.expr) (samples : sample list) : float =
-  let mean, valid, domain_errors = error_bits_stats ~prec e samples in
+let score_on_context ~(baseline_domain_errors : int) (e : Ast.expr)
+    (ctx : context) : float =
+  let mean, valid, domain_errors = error_bits_stats e ctx in
   let extra = max 0 (domain_errors - baseline_domain_errors) in
   if valid = 0 || extra = 0 then mean
   else
@@ -68,6 +109,9 @@ let score_on_context ?(prec = 256) ~(baseline_domain_errors : int)
 (* fold operations whose arguments are all literal constants *)
 let rec constant_fold (e : Ast.expr) : Ast.expr =
   match e with
+  (* a unary sign is never folded: (- 3) stays as written, so the rules
+     see the same candidates they always have *)
+  | Ast.Op ((("-" | "+") as f), [ a ]) -> Ast.Op (f, [ constant_fold a ])
   | Ast.Op (f, args) -> begin
       let args = List.map constant_fold args in
       let nums =
@@ -80,7 +124,6 @@ let rec constant_fold (e : Ast.expr) : Ast.expr =
       end
       else Ast.Op (f, args)
     end
-  | Ast.Num _ | Ast.Var _ | Ast.Const _ -> e
   | _ -> e
 
 (* all single-step rewrites of [e] (at any position, any rule) *)
@@ -89,11 +132,9 @@ let rewrites (rules : Rules.rule list) (e : Ast.expr) : Ast.expr list =
     List.filter_map
       (fun (r : Rules.rule) ->
         match Pattern.matches r.Rules.lhs e [] with
-        | Some env -> begin
-            match Pattern.instantiate r.Rules.rhs env with
-            | e' -> Some e'
-            | exception Invalid_argument _ -> None
-          end
+        | Some env -> (
+            try Some (Pattern.instantiate r.Rules.rhs env)
+            with Invalid_argument _ -> None)
         | None -> None)
       rules
   in
@@ -104,8 +145,7 @@ let rewrites (rules : Rules.rule list) (e : Ast.expr) : Ast.expr list =
       | Ast.Op (f, args) ->
           List.concat
             (List.mapi
-               (fun i _ ->
-                 let arg = List.nth args i in
+               (fun i arg ->
                  List.map
                    (fun arg' ->
                      Ast.Op (f, List.mapi (fun j a -> if j = i then arg' else a) args))
@@ -125,7 +165,6 @@ type result = {
   improved : Ast.expr;
   error_before : float;
   error_after : float;
-  steps : string list;  (* placeholder: names not tracked through beam *)
 }
 
 let rec expr_size (e : Ast.expr) : int =
@@ -138,15 +177,11 @@ let rec expr_size (e : Ast.expr) : int =
    (best first, the original always in the pool). [improve] takes the
    head; the regime search branches over the whole set, because the
    best expression *per input region* is rarely the best overall. *)
-let improve_candidates ?(beam = 8) ?(depth = 4) ?(prec = 256) ?(keep = 6)
-    (e : Ast.expr) (samples : sample list) : (float * Ast.expr) list =
-  let _, _, base_derr = error_bits_stats ~prec e samples in
-  let score e' =
-    score_on_context ~prec ~baseline_domain_errors:base_derr e' samples
-  in
-  let e0_err = mean_error_bits ~prec e samples in
+let improve_candidates ?(beam = 8) ?(depth = 4) ?(keep = 6) (e : Ast.expr)
+    (ctx : context) : (float * Ast.expr) list =
+  let e0_err, _, base_derr = error_bits_stats e ctx in
+  let score e' = score_on_context ~baseline_domain_errors:base_derr e' ctx in
   let seen = Hashtbl.create 64 in
-  let key e = Marshal.to_string e [] in
   Hashtbl.replace seen (key e) ();
   let better (a, ea) (b, eb) =
     match compare a b with
@@ -178,17 +213,14 @@ let improve_candidates ?(beam = 8) ?(depth = 4) ?(prec = 256) ?(keep = 6)
   done;
   !top
 
-let improve ?(beam = 8) ?(depth = 4) ?(prec = 256) (e : Ast.expr)
-    (samples : sample list) : result =
-  let e0_err = mean_error_bits ~prec e samples in
-  match improve_candidates ~beam ~depth ~prec ~keep:1 e samples with
-  | (err_after, improved) :: _ ->
+let improve ?(beam = 8) ?(depth = 4) (e : Ast.expr) (ctx : context) : result =
+  match improve_candidates ~beam ~depth ~keep:1 e ctx with
+  | (error_after, improved) :: _ ->
       {
         original = e;
         improved;
-        error_before = e0_err;
-        error_after = err_after;
-        steps = [];
+        error_before = mean_error_bits e ctx;
+        error_after;
       }
   | [] -> assert false
 
@@ -210,7 +242,7 @@ let rec of_sym (s : Core.Antiunify.sym) : Ast.expr =
 (* Improve an expression recovered by the analysis. The symbolic
    expression's variables are renamed canonically first (matching the
    FPCore rendering the user sees in reports). *)
-let improve_sym ?beam ?depth ?prec (s : Core.Antiunify.sym)
+let improve_sym ?beam ?depth (s : Core.Antiunify.sym)
     (samples : float array list) : result =
   let s', _ = Core.Antiunify.rename s in
   let e = of_sym s' in
@@ -220,4 +252,4 @@ let improve_sym ?beam ?depth ?prec (s : Core.Antiunify.sym)
       (fun tuple -> List.mapi (fun i x -> (x, tuple.(i))) vars)
       samples
   in
-  improve ?beam ?depth ?prec e samples
+  improve ?beam ?depth e (context samples)

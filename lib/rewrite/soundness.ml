@@ -81,38 +81,41 @@ let rec render_expr (e : Ast.expr) : string =
 
 (* ---------- point contexts ---------- *)
 
-(* Sample [n] named-assignment points for a benchmark. This reuses the
-   suite's xorshift64* stream ([Suite.inputs_for]) so a context is a
-   pure function of (bench, seed, n) — the campaign checkpoint needs
-   exactly that to replay byte-identically. *)
+(* Sample [n] named-assignment points for a benchmark into a new context.
+   This reuses the suite's xorshift64* stream ([Suite.inputs_for]) so the
+   points are a pure function of (bench, seed, n) — the campaign
+   checkpoint needs exactly that to replay byte-identically. *)
 let samples_of_bench ?(seed = 42) ~(n : int) (bench : Suite.bench) :
-    Improve.sample list =
+    Improve.context =
   let vars = List.map (fun (v, _, _, _) -> v) bench.Suite.ranges in
   let nvars = List.length vars in
-  if nvars = 0 then []
-  else
-    let flat = Suite.inputs_for ~seed bench ~n in
-    List.init n (fun i ->
-        List.mapi (fun j x -> (x, flat.((i * nvars) + j))) vars)
+  Improve.context
+    (if nvars = 0 then []
+     else
+       let flat = Suite.inputs_for ~seed bench ~n in
+       List.init n (fun i ->
+           List.mapi (fun j x -> (x, flat.((i * nvars) + j))) vars))
 
 (* ---------- the oracle ---------- *)
 
-let report_of ?(prec = 256) ~name ~seed ~points
-    ~(resample : Improve.sample list) (res : Improve.result) : report =
-  let actual_before, valid_b, derr_b =
-    Improve.error_bits_stats ~prec res.Improve.original resample
+let report_of ~name ~seed ~points ~(resample : Improve.context)
+    (res : Improve.result) : report =
+  let row w_label w_predicted e =
+    let w_actual, w_valid, w_domain_errors =
+      Improve.error_bits_stats e resample
+    in
+    { w_label; w_predicted; w_actual; w_valid; w_domain_errors }
   in
-  let actual_after, valid_a, derr_a =
-    Improve.error_bits_stats ~prec res.Improve.improved resample
-  in
-  let regression = actual_after -. actual_before in
+  let before = row "original" res.Improve.error_before res.Improve.original in
+  let after = row "improved" res.Improve.error_after res.Improve.improved in
+  let regression = after.w_actual -. before.w_actual in
   (* Non-increasing up to both contexts being out of domain: a pair of
      infinite means (no in-domain resample points for either side) says
      nothing and counts as sound. NaN cannot occur: means are finite,
      0.0, or infinity by construction. *)
   let sound =
-    if actual_after = infinity && actual_before = infinity then true
-    else actual_after <= actual_before
+    if after.w_actual = infinity && before.w_actual = infinity then true
+    else after.w_actual <= before.w_actual
   in
   {
     r_name = name;
@@ -120,23 +123,7 @@ let report_of ?(prec = 256) ~name ~seed ~points
     r_points = points;
     r_original = render_expr res.Improve.original;
     r_improved = render_expr res.Improve.improved;
-    r_rows =
-      [
-        {
-          w_label = "original";
-          w_predicted = res.Improve.error_before;
-          w_actual = actual_before;
-          w_valid = valid_b;
-          w_domain_errors = derr_b;
-        };
-        {
-          w_label = "improved";
-          w_predicted = res.Improve.error_after;
-          w_actual = actual_after;
-          w_valid = valid_a;
-          w_domain_errors = derr_a;
-        };
-      ];
+    r_rows = [ before; after ];
     r_regression = (if sound then 0.0 else regression);
     r_sound = sound;
   }
@@ -144,13 +131,13 @@ let report_of ?(prec = 256) ~name ~seed ~points
 (* Run the improver on a search context and validate the result on a
    disjoint resample context. [seed] seeds the search context; the
    resample context uses [resample_seed seed]. *)
-let check_bench ?(beam = 8) ?(depth = 3) ?(prec = 256) ?(points = 24)
-    ?(seed = 42) (bench : Suite.bench) : report =
+let check_bench ?(beam = 8) ?(depth = 3) ?(points = 24) ?(seed = 42)
+    (bench : Suite.bench) : report =
   let core = Suite.core_of bench in
   let search = samples_of_bench ~seed ~n:points bench in
   let resample = samples_of_bench ~seed:(resample_seed seed) ~n:points bench in
-  let res = Improve.improve ~beam ~depth ~prec core.Ast.body search in
-  report_of ~prec ~name:bench.Suite.name ~seed ~points ~resample res
+  let res = Improve.improve ~beam ~depth core.Ast.body search in
+  report_of ~name:bench.Suite.name ~seed ~points ~resample res
 
 (* ---------- the error table ---------- *)
 

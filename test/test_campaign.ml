@@ -355,9 +355,10 @@ let soundness_sampling () =
       ~seed:(Rewrite.Soundness.resample_seed 42)
       ~n:8 bench
   in
-  checkb "sampling is deterministic" true (search = again);
-  checkb "resample context is disjoint" true (search <> resample);
-  checki "eight points" 8 (List.length search)
+  let points (ctx : Rewrite.Improve.context) = ctx.Rewrite.Improve.points in
+  checkb "sampling is deterministic" true (points search = points again);
+  checkb "resample context is disjoint" true (points search <> points resample);
+  checki "eight points" 8 (Array.length (points search))
 
 (* a seeded soundiness slice over the suite: every report is internally
    consistent, and the verdict matches the actual-error comparison *)

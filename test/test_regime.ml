@@ -29,12 +29,12 @@ let test_sampler_determinism () =
     (fp 42 <> fp (Regime.Sampler.resample_seed 42));
   (* every point binds every argument, in core order *)
   let core = Suite.core_of b in
-  List.iter
+  Array.iter
     (fun pt ->
       Alcotest.(check (list string))
         "point binds the core's arguments" core.Fpcore.Ast.args
         (List.map fst pt))
-    (Regime.Sampler.context ~seed:7 ~n:5 b)
+    (Regime.Sampler.context ~seed:7 ~n:5 b).Rewrite.Improve.points
 
 (* ---------- threshold search on a synthetic ---------- *)
 
@@ -163,6 +163,38 @@ let test_error_table_pin () =
   let r = Regime.infer ~seed:42 (bench "intro-example") in
   Alcotest.(check string) "pinned table" expected_table (Regime.table r)
 
+(* ---------- every number of the official sweep ---------- *)
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+(* Every straight-line benchmark's full report at the official
+   configuration, seed 42, pinned as JSON (numbers print with %.17g, so
+   every mean is exact). Regenerate with
+   [dune exec test/regen_pins.exe -- test/data regime] only after a
+   deliberate change to regime inference. *)
+let test_sweep_pin () =
+  let want = read_lines "data/regime_seed42.jsonl" in
+  let got =
+    List.filter (fun b -> b.Suite.group = `Straight) Suite.all
+    |> List.map (fun b -> Json.to_string (Regime.to_json (infer_official b)))
+  in
+  Alcotest.(check int) "record count" (List.length want) (List.length got);
+  List.iteri
+    (fun i (w, g) ->
+      if w <> g then
+        Alcotest.failf "record %d diverges from the pin\nwant: %s\ngot:  %s" i w
+          g)
+    (List.combine want got)
+
 let () =
   Alcotest.run "regime"
     [
@@ -188,5 +220,8 @@ let () =
             test_overfit_trio_sound;
         ] );
       ( "table",
-        [ Alcotest.test_case "pinned error table" `Quick test_error_table_pin ] );
+        [
+          Alcotest.test_case "pinned error table" `Quick test_error_table_pin;
+          Alcotest.test_case "seed-42 sweep pinned" `Quick test_sweep_pin;
+        ] );
     ]
