@@ -248,44 +248,6 @@ let div ~prec x y =
       round_raw ~prec ~sticky:(not (N.is_zero r)) (a.neg <> b.neg) q
         (a.exp - b.exp - s)
 
-(* Division by a machine-integer divisor: bit-identical to
-   [div ~prec x (of_int k)], but the whole quotient comes out of one
-   fused shift-and-divide pass ({!Natural.divshift_int}) instead of the
-   general path's chain of temporaries. Series evaluation in
-   [Bigfloat_math] divides by a small integer once per term, which makes
-   this the hottest division form in the tree. *)
-let div_int ~prec x k =
-  if k = 0 || k = min_int then div ~prec x (of_int k)
-  else
-    match x with
-    | Nan -> Nan
-    | Inf a -> Inf (a <> (k < 0))
-    | Zero a -> Zero (a <> (k < 0))
-    | Fin a ->
-        let ka = Stdlib.abs k in
-        (* mirror [of_int]'s canonical odd-mantissa decomposition *)
-        let tz = ref 0 in
-        let ko = ref ka in
-        while !ko land 1 = 0 do
-          incr tz;
-          ko := !ko lsr 1
-        done;
-        let ko = !ko in
-        let lb = ref 0 and v = ref ko in
-        while !v > 0 do
-          incr lb;
-          v := !v lsr 1
-        done;
-        (* divisors past one limb take the general path *)
-        if !lb > 31 then div ~prec x (of_int k)
-        else begin
-          let la = N.bit_length a.mant in
-          let s = max 0 (prec + 2 + !lb - la) in
-          let q, r = N.divshift_int a.mant s ko in
-          round_raw ~prec ~sticky:(r <> 0) (a.neg <> (k < 0)) q
-            (a.exp - !tz - s)
-        end
-
 let sqrt ~prec x =
   match x with
   | Nan -> Nan

@@ -9,9 +9,8 @@
 
     Basic operations ([add], [sub], [mul], [div], [sqrt]) are correctly
     rounded to the requested precision. Transcendental functions live in
-    {!Bigfloat_math}: [sin], [cos] and [tan] are correctly rounded, the
-    rest faithful to within a couple of ulps at the requested precision
-    (see DESIGN.md on the table-maker's dilemma). *)
+    {!Bigfloat_math}, all correctly rounded by Ziv's loop but for a
+    faithful [hypot] (see DESIGN.md). *)
 
 type t =
   | Nan
@@ -55,11 +54,6 @@ val add : prec:int -> t -> t -> t
 val sub : prec:int -> t -> t -> t
 val mul : prec:int -> t -> t -> t
 val div : prec:int -> t -> t -> t
-
-val div_int : prec:int -> t -> int -> t
-(** [div_int ~prec x k] is [div ~prec x (of_int k)] bit for bit, via a
-    fused single-pass divide — the form series evaluation hits once per
-    term. *)
 
 val sqrt : prec:int -> t -> t
 

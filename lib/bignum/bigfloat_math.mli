@@ -1,13 +1,23 @@
 (** Transcendental functions on {!Bigfloat} values.
 
-    Every function takes a target precision [prec]. [sin], [cos] and
-    [tan] return the correctly rounded result (round to nearest even):
-    a fixed-point series with a rigorous error bound, widened by Ziv's
-    rounding test until the rounding is decided; their fallback for
-    |x| >= 2^8192 is the double-precision libm value. Every other
-    function is faithful to within a few ulps at that precision
-    (computed internally with 32 or more guard bits). See DESIGN.md for
-    the precision contract.
+    Every function takes a target precision [prec] and, except
+    [hypot], returns the correctly rounded result (round to nearest
+    even): [pi], [ln2], [exp], [expm1], [exp2], [log], [log1p], [log2],
+    [log10], [sin], [cos], [tan], [asin], [acos], [atan], [atan2],
+    [sinh], [cosh], [tanh], [pow], [cbrt], [fma], [fdim], and the exact
+    [fmod] and [copysign]. Each transcendental evaluates a fixed-point
+    series over {!Natural} with a derived error bound, and one Ziv loop
+    widens the evaluation until every value within the bound rounds the
+    same way, as MPFR does; [cbrt] rounds an integer cube root with a
+    sticky bit instead. Functions built from a kernel ([expm1], [log1p],
+    [sinh], [tanh], [asin], [atan2], [pow], ...) carry the kernel's
+    interval through their own arithmetic rather than composing two
+    rounded calls. Exact cases that a Ziv loop cannot decide (powers of
+    two in [log2] and [exp2], powers of ten in [log10], exact powers in
+    [pow]) are returned directly. The fallback of [sin], [cos] and [tan]
+    for |x| >= 2^8192 is the double-precision libm value. [hypot] is
+    faithful: [x^2 + y^2] rounded at [prec + 32] bits, then a correctly
+    rounded square root. See DESIGN.md for the precision contract.
     Together with {!Bigfloat} this covers the libm surface that Herbgrind
     wraps (paper section 5.4): the shadow real execution calls these to get
     the exact result of client math-library calls.
@@ -37,6 +47,7 @@ val tanh : prec:int -> Bigfloat.t -> Bigfloat.t
 val pow : prec:int -> Bigfloat.t -> Bigfloat.t -> Bigfloat.t
 val cbrt : prec:int -> Bigfloat.t -> Bigfloat.t
 val hypot : prec:int -> Bigfloat.t -> Bigfloat.t -> Bigfloat.t
+(** Faithful, not correctly rounded (see above). *)
 
 val fma : prec:int -> Bigfloat.t -> Bigfloat.t -> Bigfloat.t -> Bigfloat.t
 (** Correctly rounded [x*y + z] with a single rounding. *)

@@ -500,49 +500,6 @@ let divmod_int (a : t) (k : int) : t * int =
   done;
   (normalize q, !rem)
 
-(* [divmod_int (shift_left a s) k], fused: the shifted limbs are
-   produced on the fly inside the division pass, so the scaled dividend
-   is never materialized. [Bigfloat.div_int] divides a full-precision
-   mantissa by a machine integer once per series term, where the
-   general path's temporaries dominate the profile. *)
-let divshift_int (a : t) (s : int) (k : int) : t * int =
-  if s < 0 then invalid_arg "Natural.divshift_int: negative shift";
-  if k <= 0 then invalid_arg "Natural.divshift_int: non-positive divisor";
-  if k >= base then invalid_arg "Natural.divshift_int: divisor too large";
-  let n = Array.length a in
-  if n = 0 then (zero, 0)
-  else begin
-    let sw = s / base_bits and sb = s mod base_bits in
-    (* one limb of headroom for the sub-limb shift's spill *)
-    let nt = n + sw + if sb = 0 then 0 else 1 in
-    let q = Array.make nt 0 in
-    let ik = 1.0 /. float_of_int k in
-    let rem = ref 0 in
-    for i = nt - 1 downto 0 do
-      let j = i - sw in
-      let limb =
-        if sb = 0 then (if j >= 0 && j < n then Array.unsafe_get a j else 0)
-        else begin
-          let hi = if j >= 0 && j < n then Array.unsafe_get a j lsl sb else 0
-          and lo =
-            if j >= 1 then Array.unsafe_get a (j - 1) lsr (base_bits - sb)
-            else 0
-          in
-          (hi lor lo) land limb_mask
-        end
-      in
-      (* same reciprocal-multiply quotient step as [divmod_int] *)
-      let cur = (!rem lsl base_bits) lor limb in
-      let qi = int_of_float (float_of_int cur *. ik) in
-      let r = cur - (qi * k) in
-      let qi = if r < 0 then qi - 1 else if r >= k then qi + 1 else qi in
-      let r = if r < 0 then r + k else if r >= k then r - k else r in
-      Array.unsafe_set q i qi;
-      rem := r
-    done;
-    (normalize q, !rem)
-  end
-
 (* Knuth algorithm D (TAOCP vol. 2, 4.3.1). Divisor normalized so its top
    limb has the high bit set, which bounds the qhat correction loop. *)
 let divmod_knuth (a : t) (b : t) : t * t =

@@ -38,10 +38,6 @@ val divmod : t -> t -> t * t
 val divmod_int : t -> int -> t * int
 (** [divmod_int a k] divides by a small positive int. *)
 
-val divshift_int : t -> int -> int -> t * int
-(** [divshift_int a s k] is [divmod_int (shift_left a s) k] in one pass,
-    without materializing the shifted dividend. *)
-
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 

@@ -185,16 +185,3 @@ and apply_r ~prec op (args : B.t list) : B.t =
   | "*", a :: (_ :: _ as rest) -> List.fold_left (B.mul ~prec) a rest
   | "/", [ a; b ] -> B.div ~prec a b
   | _ -> Vex.Eval.libm_apply_real ~prec op (Array.of_list args)
-
-(* run an FPCore on a list of input tuples, returning per-input
-   (double result, bits of error against the real evaluation) *)
-let error_on_inputs ?(prec = 256) (core : Ast.core) (inputs : float array list)
-    : (float * float) list =
-  List.map
-    (fun tuple ->
-      let fenv = List.mapi (fun i x -> (x, tuple.(i))) core.Ast.args in
-      let renv = List.mapi (fun i x -> (x, B.of_float tuple.(i))) core.Ast.args in
-      let f = eval_f fenv core.Ast.body in
-      let r = eval_r ~prec renv core.Ast.body in
-      (f, Ieee.bits_of_error f (B.to_float r)))
-    inputs

@@ -20,7 +20,8 @@
                 skipped: Bigfloat's unbounded exponent does not
                 double-round into the subnormal range the way hardware
                 does; see DESIGN.md), and a precision-doubling check of
-                the shadow sin, cos and tan at the analysis precision;
+                every correctly rounded shadow libm call the generator
+                emits, at the analysis precision;
    - sanitize:  the NSan-style dual-precision sanitizer engine
                 ([Sanitize.Sexec]) — its client outputs must also be
                 bit-identical to the machine's (same transparency claim,
@@ -178,24 +179,22 @@ let kernel_apply_exact (name : string) (args : float array) :
   | "fma", [| x; y; z |] -> Bignum.Bigfloat_math.fma ~prec:53 x y z
   | _ -> invalid_arg ("kernel_apply_exact: " ^ name)
 
-(* The precision-doubling oracle for a shadow function [f]: [f ~prec x]
-   must equal [f ~prec:(2 prec) x] rounded to [prec] bits. A wide result
+(* The precision-doubling oracle for a shadow function [f]: [f ~prec]
+   must equal [f ~prec:(2 prec)] rounded to [prec] bits. A wide result
    that sits exactly on a prec-bit midpoint no longer tells which side
    the true value lies on (double rounding), so the reference then
    widens again, up to 16 prec. Compared structurally, so the sign of a
    zero counts. *)
-let doubling_check ~prec
-    (f : prec:int -> Bignum.Bigfloat.t -> Bignum.Bigfloat.t)
-    (x : Bignum.Bigfloat.t) : string option =
+let doubling_check ~prec (f : prec:int -> Bignum.Bigfloat.t) : string option =
   let module B = Bignum.Bigfloat in
   let midpoint y =
     B.is_finite y && (not (B.is_zero y)) && B.precision_of y = prec + 1
   in
   let rec reference wide =
-    let y = f ~prec:wide x in
+    let y = f ~prec:wide in
     if midpoint y && wide < 16 * prec then reference (2 * wide) else y
   in
-  let got = f ~prec x and want = B.round ~prec (reference (2 * prec)) in
+  let got = f ~prec and want = B.round ~prec (reference (2 * prec)) in
   if got = want then None
   else begin
     (* enough digits to tell two prec-bit values apart *)
@@ -205,12 +204,21 @@ let doubling_check ~prec
          (show got) (show want))
   end
 
-(* the shadow trig functions, correctly rounded, so checked against
-   themselves by [doubling_check] rather than against libm, which is
-   only faithful *)
-let trig_kernel =
+(* the correctly rounded shadow libm calls the fuzzer generates, checked
+   against themselves by [doubling_check] rather than against libm,
+   which is only faithful *)
+let libm_kernel :
+    (string * (prec:int -> Bignum.Bigfloat.t array -> Bignum.Bigfloat.t)) list =
   let module M = Bignum.Bigfloat_math in
-  [ ("sin", M.sin); ("cos", M.cos); ("tan", M.tan) ]
+  let unary f ~prec a = f ~prec a.(0) in
+  let binary f ~prec a = f ~prec a.(0) a.(1) in
+  [
+    ("sin", unary M.sin); ("cos", unary M.cos); ("tan", unary M.tan);
+    ("exp", unary M.exp); ("log", unary M.log); ("atan", unary M.atan);
+    ("cbrt", unary M.cbrt); ("expm1", unary M.expm1);
+    ("log1p", unary M.log1p); ("sinh", unary M.sinh); ("tanh", unary M.tanh);
+    ("pow", binary M.pow); ("atan2", binary M.atan2);
+  ]
 
 (* the 53-bit Bigfloat result of a basic op against the native double *)
 let native_check (name : string) (args : float array) (r : float) :
@@ -240,18 +248,27 @@ let native_check (name : string) (args : float array) (r : float) :
                (Int64.bits_of_float rf))
 
 (* Check one executed kernel op; return a mismatch description if the
-   53-bit Bigfloat result does not reproduce the native double [r], or,
-   for sin, cos and tan, if the shadow result at the analysis precision
-   [prec] fails [doubling_check] ([r] is not used then). *)
+   53-bit Bigfloat result of a basic op, sqrt or fma does not reproduce
+   the native double [r], or if the shadow result of a [libm_kernel]
+   call at the analysis precision [prec] fails [doubling_check] ([r] is
+   not used then). Other calls are not checked. *)
 let kernel_check ~prec (name : string) (args : float array) (r : float) :
     string option =
   if not (Array.for_all Float.is_finite args) then None
   else
-    match (List.assoc_opt name trig_kernel, args) with
-    | Some f, [| x |] ->
-        doubling_check ~prec f (Bignum.Bigfloat.of_float x)
-        |> Option.map (Printf.sprintf "%s(%h): %s" name x)
-    | _ -> native_check name args r
+    match List.assoc_opt name libm_kernel with
+    | Some f ->
+        let a = Array.map Bignum.Bigfloat.of_float args in
+        doubling_check ~prec (fun ~prec -> f ~prec a)
+        |> Option.map
+             (Printf.sprintf "%s(%s): %s" name
+                (String.concat ", "
+                   (Array.to_list (Array.map (Printf.sprintf "%h") args))))
+    | None -> (
+        match name with
+        | "add" | "sub" | "mul" | "div" | "sqrt" | "fma" ->
+            native_check name args r
+        | _ -> None)
 
 (* ---------- the engine-consistency oracle ---------- *)
 

@@ -56,7 +56,7 @@ type report = {
   re_act_branched : float;
   re_spots : Localize.spot list;  (* original's localization *)
   re_soundness : Soundness.report;  (* selected fix vs original *)
-  re_search_points : int;  (* point evaluations spent by the search *)
+  re_search_points : int;  (* point evaluations requested by the search *)
 }
 
 (* how many regimes the *selected* fix actually has *)

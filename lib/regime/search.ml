@@ -185,14 +185,24 @@ let search ?(opts = default_options) ~(vars : (string * float array) list)
 (* Binary-search threshold refinement. [eval c pt] scores candidate [c]
    at assignment [pt] (error bits; None = domain exit, scored as the
    worst case 64). Returns the refined split and the number of probe
-   evaluations spent. *)
+   evaluations requested. Each distinct (candidate, assignment) pair is
+   scored once: on a one-variable benchmark both straddling points
+   become the same assignment at every midpoint. Keys are [Marshal]
+   images, so -0.0 and 0.0 stay apart. *)
 let refine ?(opts = default_options) ~(points : Rewrite.Improve.sample list)
     ~(eval : int -> (string * float) list -> float option) (split : split) :
     split * int =
   let probes = ref 0 in
+  let scored = Hashtbl.create 16 in
   let score c pt =
     incr probes;
-    match eval c pt with Some e -> e | None -> 64.0
+    let k = Marshal.to_string (c, pt) [] in
+    match Hashtbl.find_opt scored k with
+    | Some e -> e
+    | None ->
+        let e = match eval c pt with Some e -> e | None -> 64.0 in
+        Hashtbl.add scored k e;
+        e
   in
   let value_of var pt = try List.assoc var pt with Not_found -> nan in
   let refined =

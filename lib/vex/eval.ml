@@ -233,10 +233,11 @@ let libm_apply_real_uncached ~prec (name : string)
         (Printf.sprintf "Eval.libm_apply_real: unknown %s/%d" name
            (Array.length args))
 
-(* Transcendentals dominate shadow-execution cost (a 1000-bit sin is
-   hundreds of Taylor-series multiplies), and loop-heavy clients often
-   revisit the same argument — e.g. a benchmark computing cos of the same
-   subexpression twice per iteration.  Memoize per domain, keyed on the
+(* Transcendentals dominate shadow-execution cost: at 1000 bits a sin,
+   exp or log sums about a hundred fixed-point series terms, 75-100 us
+   on one core of a 2-vCPU VM, and an atan about 140 us. Loop-heavy
+   clients often revisit the same argument — e.g. a benchmark computing
+   cos of the same subexpression twice per iteration.  Memoize per domain, keyed on the
    structural representation of the arguments: Bigfloat values are
    canonical (bool/int/int-array), so structural equality is exact value
    identity and — unlike [Bigfloat.equal] — keeps -0.0 and +0.0 apart,

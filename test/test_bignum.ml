@@ -391,17 +391,36 @@ let math_pi_ln2 () =
   checkb "pi 2000 -> 53" true
     (B.to_float (B.round ~prec:53 (M.pi ~prec:2000)) = Float.pi)
 
-(* ---------- precision-doubling oracle for sin, cos and tan ---------- *)
+(* ---------- precision-doubling oracle for the libm kernels ---------- *)
 
 (* Every check: f at p equals f at 2p rounded to p bits
    ([Fuzz.Oracle.doubling_check], which widens the reference past a
    double-rounding midpoint), for p in the list below. *)
 let oracle_precs = [ 53; 113; 256; 1000 ]
 
-let trig_fns = [ ("sin", M.sin); ("cos", M.cos); ("tan", M.tan) ]
+(* each function with a map of a generated argument into its domain *)
+let shadow_fns =
+  let id x = x and pos x = B.abs x in
+  (* |x| / 2^(magnitude + 1): into (-1/2, 1/2), sign kept *)
+  let unit x =
+    match x with
+    | B.Fin f -> B.mul_2exp x (-(f.B.exp + N.bit_length f.B.mant + 1))
+    | _ -> x
+  in
+  let second y f ~prec x = f ~prec x y in
+  [
+    ("sin", M.sin, id); ("cos", M.cos, id); ("tan", M.tan, id);
+    ("exp", M.exp, id); ("expm1", M.expm1, id); ("exp2", M.exp2, id);
+    ("log", M.log, pos); ("log1p", M.log1p, pos); ("log2", M.log2, pos);
+    ("log10", M.log10, pos); ("atan", M.atan, id); ("asin", M.asin, unit);
+    ("acos", M.acos, unit); ("sinh", M.sinh, id); ("cosh", M.cosh, id);
+    ("tanh", M.tanh, id); ("cbrt", M.cbrt, id);
+    ("atan2 _ -3", second (B.of_int (-3)) M.atan2, id);
+    ("pow _ 0.3", second (B.of_float 0.3) M.pow, pos);
+  ]
 
 let doubling_ok name f ~prec x =
-  match Fuzz.Oracle.doubling_check ~prec f x with
+  match Fuzz.Oracle.doubling_check ~prec (fun ~prec -> f ~prec x) with
   | None -> ()
   | Some d ->
       Alcotest.failf "%s(%s): %s" name (B.to_decimal_string ~digits:40 x) d
@@ -426,11 +445,11 @@ let doubling_case gen () =
       let rng = Random.State.make [| prec |] in
       let n = if prec >= 1000 then 4 else 12 in
       List.iter
-        (fun (name, f) ->
+        (fun (name, f, dom) ->
           for _ = 1 to n do
-            doubling_ok name f ~prec (gen rng prec)
+            doubling_ok name f ~prec (dom (gen rng prec))
           done)
-        trig_fns)
+        shadow_fns)
     oracle_precs
 
 (* dense p-bit values with |x| in [2^-4, 2^5) *)
@@ -454,8 +473,10 @@ let gen_tiny rng prec =
 
 (* x = g^-1 (m) at 3p bits for m the midpoint of two adjacent p-bit
    floats in [1/2, 1): f x lies within about 2^-3p of m, so neither f at
-   p nor its 2p reference can round without widening *)
+   p nor its 2p reference can round without widening. For cbrt, x = m^3
+   exactly: the root is the midpoint itself, which must round to even. *)
 let doubling_hard_cases () =
+  let cube ~prec:_ m = B.mul ~prec:(max_int / 16) (B.mul ~prec:(max_int / 16) m m) m in
   List.iter
     (fun prec ->
       let rng = Random.State.make [| prec; 3 |] in
@@ -471,6 +492,10 @@ let doubling_hard_cases () =
           done)
         [
           ("sin", M.sin, M.asin); ("cos", M.cos, M.acos); ("tan", M.tan, M.atan);
+          ("atan", M.atan, M.tan); ("exp", M.exp, M.log); ("log", M.log, M.exp);
+          ("expm1", M.expm1, M.log1p); ("log1p", M.log1p, M.expm1);
+          ("exp2", M.exp2, M.log2); ("log2", M.log2, M.exp2);
+          ("cbrt", M.cbrt, cube);
         ])
     oracle_precs
 

@@ -265,16 +265,40 @@ let kernel_tests =
             | None -> true
             | Some d -> QCheck.Test.fail_report d)
           [ "sin"; "cos"; "tan" ]);
+    (* the same for the other correctly rounded libm calls the fuzzer
+       emits, on raw bit patterns (most exp/pow arguments overflow to
+       the same infinity at both precisions) and on [-8, 8] *)
+    QCheck.Test.make ~name:"shadow libm kernels pass precision doubling"
+      ~count:60
+      QCheck.(
+        pair arb_bits_float
+          (pair (float_range (-8.0) 8.0) (float_range (-8.0) 8.0)))
+      (fun (b, (x, y)) ->
+        let prec = Core.Config.fast.Core.Config.precision in
+        List.for_all
+          (fun (op, _) ->
+            List.for_all
+              (fun args ->
+                let args = Array.sub args 0 (if op = "pow" || op = "atan2" then 2 else 1) in
+                match Fuzz.Oracle.kernel_check ~prec op args Float.nan with
+                | None -> true
+                | Some d -> QCheck.Test.fail_report d)
+              [ [| b; y |]; [| x; y |]; [| Float.abs x; y |] ])
+          (List.filter
+             (fun (op, _) -> not (List.mem op [ "sin"; "cos"; "tan" ]))
+             Fuzz.Oracle.libm_kernel));
   ]
 
 (* ---------- pinned transcendental deviations ---------- *)
 
 (* Transcendentals are NOT expected to agree bit-for-bit: libm is
-   faithfully rounded, not correctly rounded, and so is Bigfloat_math at
-   prec 53 outside sin, cos and tan. On this pinned input set the
-   deviation is at most 1 ulp and confined to exactly the pairs below
-   (see DESIGN.md). A new deviation or a >1-ulp one means a regression
-   in Bigfloat_math (or a libm change worth knowing about). *)
+   faithfully rounded, not correctly rounded, while Bigfloat_math is
+   correctly rounded, so each pair below is a glibc rounding error (every
+   Bigfloat value here passes the precision-doubling oracle). On this
+   pinned input set the deviation is at most 1 ulp and confined to
+   exactly the pairs below (see DESIGN.md). A new deviation or a >1-ulp
+   one means a regression in Bigfloat_math (or a libm change worth
+   knowing about). *)
 
 let ulp_dist a b =
   let key f =
