@@ -466,7 +466,16 @@ let sin_cos ~cos ~prec x =
 let sin = sin_cos ~cos:false
 let cos = sin_cos ~cos:true
 
-(* tan (r + q pi/2) is tan r for even q and -cos r / sin r for odd q *)
+(* cos y from s = S / 2^f, sin |y| within e_s, for |y| <= pi/4 (up to
+   rounding): C = isqrt (2^2f - S^2) is within 2 e_s + 1 of 2^f cos y,
+   since |S^2 - s^2| / (C + c) <= e_s (2S + e_s) / (1.4 2^f - 1) and the
+   floor loses under 1 more *)
+let cos_of_sin ~f (s : Interval.t) =
+  let c = N.isqrt (N.sub (N.shift_left N.one (2 * f)) (N.mul s.m s.m)) in
+  { (exact ~f c) with e = N.add (N.shift_left s.e 1) N.one }
+
+(* tan (r + q pi/2) is tan r for even q and -cos r / sin r for odd q;
+   the reduced |r| <= pi/4 gives cos r from sin r *)
 let tan ~prec x =
   match x with
   | B.Nan | B.Inf _ -> B.Nan
@@ -474,8 +483,8 @@ let tan ~prec x =
   | B.Fin _ ->
       trig ~prec x Stdlib.tan (fun ~w q r ->
           let f = w + 16 - lead r in
-          let sin = trig_approx ~w ~cos:false ~f x r
-          and cos = trig_approx ~w ~cos:true ~f x r in
+          let sin = trig_approx ~w ~cos:false ~f x r in
+          let cos = cos_of_sin ~f sin in
           let n, d = if q land 1 = 0 then (sin, cos) else (cos, sin) in
           { (div ~w:(w + 16) n d) with neg = (q land 1 = 1) <> B.is_negative r })
 
@@ -484,8 +493,7 @@ let tan ~prec x =
 (* atan t for t = T / 2^f in [0, 1], T exact, as an interval at f bits.
    Below 2^-6 the series of t itself converges fast enough. Otherwise
    let y = the float atan of t, S its sin at f bits within e_s and
-   C = isqrt (2^2f - S^2) its cos, within 2 e_s + 1 since
-   |S^2 - s^2| / (C + c) <= e_s (2S + e_s) / (1.4 2^f - 1). Then
+   C its cos from [cos_of_sin] (y <= pi/4). Then
    atan t = y + atan d with d = (t c - s) / (c + t s) = tan (atan t - y),
    |d| about 2^-50, on intervals; atan has slope at most 1. *)
 let atan_fixed ~f t =
@@ -495,9 +503,8 @@ let atan_fixed ~f t =
       let sh = max 0 (N.bit_length t - 60) in
       let y = Float.atan (Float.ldexp (N.to_float (N.shift_right t sh)) (sh - f)) in
       let s, es = trig_series ~cos:false ~f (B.of_float y) in
-      let c = N.isqrt (N.sub (N.shift_left N.one (2 * f)) (N.mul s s)) in
       let s = { (exact ~f s) with e = es } and t = exact ~f t and w = f + 8 in
-      let c = { (exact ~f c) with e = N.add (N.shift_left es 1) N.one } in
+      let c = cos_of_sin ~f s in
       let num = add (mul ~w t c) { s with neg = true } in
       (y, fixed ~f (div ~w num (add c (mul ~w t s))))
     end
@@ -509,40 +516,44 @@ let atan_fixed ~f t =
     { (exact ~f (to_fixed ~f (B.of_float y))) with e = N.one }
     { d with m = a; e = N.add e d.e }
 
-(* atan x with relative error about 2^-(w+8): for |x| > 1 as
-   pi/2 - atan (1/|x|) with T = floor (2^f / |x|) within 1; otherwise
-   T = floor (|x| 2^f) within 1, f growing as |x| shrinks *)
-let atan_approx ~w x =
-  let a =
-    match B.abs x with
-    | B.Fin fa when B.gt (B.abs x) B.one ->
-        let f = w + 16 in
-        let t =
-          if f < fa.B.exp then N.zero
-          else fst (N.divmod (N.shift_left N.one (f - fa.B.exp)) fa.B.mant)
-        in
-        let r = atan_fixed ~f t in
-        (* floor (pi 2^(f-1)) is pi/2 at f bits, within 2 *)
-        add { (pi_fixed ~f:(f - 1)) with x = -f } { r with neg = true; e = N.add r.e N.one }
-    | ax ->
-        let f = w + 18 - min 0 (magnitude x) in
-        let r = atan_fixed ~f (to_fixed ~f ax) in
-        { r with e = N.add r.e N.one }
+(* atan (a / b) for finite a, b > 0 with relative error about
+   2^-(w+8), from T = floor (2^f a / b) (or b / a), exact up to its
+   floor: above 1 as pi/2 - atan (b / a) at f = w + 16; otherwise f
+   grows as a / b shrinks, by a - b magnitudes, which overstate the
+   ratio's by at most one *)
+let atan_ratio ~w a b =
+  let ratio ~f a b =
+    match (a, b) with
+    | B.Fin fa, B.Fin fb ->
+        let s = fa.B.exp - fb.B.exp + f in
+        if s >= 0 then fst (N.divmod (N.shift_left fa.B.mant s) fb.B.mant)
+        else fst (N.divmod fa.B.mant (N.shift_left fb.B.mant (-s)))
+    | _ -> assert false
   in
-  { a with neg = B.is_negative x }
+  if B.gt a b then
+    let f = w + 16 in
+    let r = atan_fixed ~f (ratio ~f b a) in
+    (* floor (pi 2^(f-1)) is pi/2 at f bits, within 2 *)
+    add { (pi_fixed ~f:(f - 1)) with x = -f } { r with neg = true; e = N.add r.e N.one }
+  else
+    let f = w + 18 - min 0 (magnitude a - magnitude b + 1) in
+    let r = atan_fixed ~f (ratio ~f a b) in
+    { r with e = N.add r.e N.one }
 
 let atan ~prec x =
   match x with
   | B.Nan | B.Zero _ -> x
   | B.Inf n -> half_pi ~prec n
-  | B.Fin _ -> ziv ~prec (fun ~w -> atan_approx ~w x)
+  | B.Fin _ ->
+      ziv ~prec (fun ~w ->
+          { (atan_ratio ~w (B.abs x) B.one) with neg = B.is_negative x })
 
-(* The angle of (x, y) from t = |y / x| > 0, t given to relative error
-   2^q: atan t for x > 0, pi - atan t for x < 0, with y's sign.
-   |atan t' - atan t| <= |t' - t| / (1 + t^2) and t / (1 + t^2) <= atan t,
-   so the angle is off by at most twice t's relative error. *)
-let angle ~w ~yneg ~xneg ?q t =
-  let a = atan_approx ~w t in
+(* The angle of (x, y) from t = |y| / |x| = a / b: atan t for x > 0,
+   pi - atan t for x < 0, with y's sign. When a / b is off from t by
+   relative error 2^q, |atan t' - atan t| <= |t' - t| / (1 + t^2) and
+   t / (1 + t^2) <= atan t, so the angle is off by at most twice that. *)
+let angle ~w ~yneg ~xneg ?q a b =
+  let a = atan_ratio ~w a b in
   let a = match q with Some q -> widen (q + 1) a | None -> a in
   let a = if xneg then add (pi_fixed ~f:(-a.x)) { a with neg = true } else a in
   { a with neg = yneg }
@@ -554,18 +565,16 @@ let atan2 ~prec y x =
   | B.Zero ny, _ when B.is_negative x -> signed_pi ~prec ny
   | B.Zero _, _ -> y
   | _, B.Zero _ -> half_pi ~prec (B.is_negative y)
-  | B.Inf ny, B.Inf nx -> ziv ~prec (fun ~w -> angle ~w ~yneg:ny ~xneg:nx B.one)
+  | B.Inf ny, B.Inf nx -> ziv ~prec (fun ~w -> angle ~w ~yneg:ny ~xneg:nx B.one B.one)
   | B.Inf ny, _ -> half_pi ~prec ny
   | _, B.Inf nx -> if nx then signed_pi ~prec (B.is_negative y) else B.Zero (B.is_negative y)
   | B.Fin fy, B.Fin fx ->
       ziv ~prec (fun ~w ->
-          let p = w + 16 in
-          angle ~w ~yneg:fy.B.neg ~xneg:fx.B.neg ~q:(-p)
-            (B.div ~prec:p (B.abs y) (B.abs x)))
+          angle ~w ~yneg:fy.B.neg ~xneg:fx.B.neg (B.abs y) (B.abs x))
 
 (* asin x = atan (x / c) and acos x = atan2 (c, x) for c = sqrt (1 - x^2)
    at p bits, as sqrt ((1 - |x|)(1 + |x|)): 1 - |x| is exact for
-   |x| >= 1/2, so four roundings leave the quotient within 2^(2-p) *)
+   |x| >= 1/2, so three roundings leave the quotient within 2^(2-p) *)
 let arc ~cos ~prec x =
   match x with
   | B.Nan | B.Inf _ -> B.Nan
@@ -580,8 +589,8 @@ let arc ~cos ~prec x =
             let p = w + 16 in
             let c = B.mul ~prec:p (B.sub ~prec:p B.one ax) (B.add ~prec:p B.one ax) in
             let c = B.sqrt ~prec:p c in
-            if cos then angle ~w ~yneg:false ~xneg:f.B.neg ~q:(2 - p) (B.div ~prec:p c ax)
-            else angle ~w ~yneg:f.B.neg ~xneg:false ~q:(2 - p) (B.div ~prec:p ax c))
+            if cos then angle ~w ~yneg:false ~xneg:f.B.neg ~q:(2 - p) c ax
+            else angle ~w ~yneg:f.B.neg ~xneg:false ~q:(2 - p) ax c)
 
 let asin = arc ~cos:false
 let acos = arc ~cos:true
@@ -624,6 +633,16 @@ let tanh ~prec x =
 
 (* ---------- pow and cbrt ---------- *)
 
+(* log x for finite x > 0, x <> 1, to relative error under 2^-49:
+   log1p of x - 1 (rounded once) near 1, where log would cancel; else
+   log m + b ln 2 for x = m 2^b, m in [1/2, 1), |log x| >= 0.4 *)
+let float_log x =
+  let d = B.to_float (B.sub ~prec:53 x B.one) in
+  if Float.abs d < 0.5 then Float.log1p d
+  else
+    let b = magnitude x in
+    Float.log (B.to_float (B.mul_2exp x (-b))) +. (float_of_int b *. ln2_f)
+
 (* x^y = exp (y log x) for x > 0, y not a small integer: log x carries
    the bits that y's magnitude moves above the units, and y log x is
    exact on its interval. The value is a dyadic rational, possibly a
@@ -650,13 +669,24 @@ let rec pow_pos ~prec x y =
   match (exact_root, N.to_int_opt fy.B.mant) with
   | Some a, Some c -> pow_int ~prec a (if fy.B.neg then -c else c)
   | _ ->
-      let l0 = log_approx ~w:64 x in
-      let z0 = B.mul ~prec:64 y (B.make ~neg:l0.neg ~mant:l0.m ~exp:l0.x) in
-      let zf = B.to_float z0 in
+      let yf = B.to_float y and lf = float_log x in
+      let zf = yf *. lf in
+      (* with both factors normal doubles, zf is within 2^-48 of
+         z = y log x relatively (or overflows or underflows with it);
+         otherwise, and near the range boundary, z comes from a 64-bit
+         log *)
+      let normal v = Float.classify_float v = FP_normal in
+      let zf =
+        if normal yf && normal lf && (Float.abs zf < 6.9e8 || Float.abs zf > 6.95e8)
+        then zf
+        else
+          let l0 = log_approx ~w:64 x in
+          B.to_float (B.mul ~prec:64 y (B.make ~neg:l0.neg ~mant:l0.m ~exp:l0.x))
+      in
       if exp_out_of_range zf then if zf > 0.0 then B.Inf false else B.zero
       else
         ziv ~prec (fun ~w ->
-            let l = log_approx ~w:(w + max 0 (magnitude z0)) x in
+            let l = log_approx ~w:(w + max 0 (snd (Float.frexp zf) + 1)) x in
             let m = N.mul l.m fy.B.mant and e = N.mul l.e fy.B.mant in
             exp_of ~w { neg = l.neg <> fy.B.neg; m; e; x = l.x + fy.B.exp })
 

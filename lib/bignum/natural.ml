@@ -598,28 +598,39 @@ let to_float (a : t) =
     ldexp (float_of_int rounded) (sh + 1)
   end
 
-let isqrt (a : t) : t =
-  if is_zero a then zero
+(* floor (sqrt a) for 0 < a < 2^100 by Newton from above: from any start at
+   least floor (sqrt a) the iterates decrease monotonically to it. The
+   float root of a is within 2^-52 sqrt a < 1/4 of sqrt a, so its
+   ceiling plus 2 is such a start, and about 50 bits correct. *)
+let isqrt_small (a : t) : t =
+  let root = Float.sqrt (to_float a) in
+  let x = ref (of_int (int_of_float (Float.ceil root) + 2)) in
+  let continue = ref true in
+  while !continue do
+    let q, _ = divmod a !x in
+    let next = shift_right (add !x q) 1 in
+    if compare next !x < 0 then x := next else continue := false
+  done;
+  !x
+
+(* Precision doubling: the root of the top half of a's bits, then one
+   Newton step at full width. For bl = bit_length a > 100 and
+   k = (bl - 5) / 4, let r = floor (sqrt (a / 4^k)) (r >= 1) and
+   x = r 2^k, so x <= sqrt a < x + 2^k. The step
+   y = floor ((x + floor (a / x)) / 2) = floor ((x + a / x) / 2) is at
+   least s = floor (sqrt a) (AM-GM), and
+   (x + a / x) / 2 = sqrt a + (sqrt a - x)^2 / 2x, where
+   (sqrt a - x)^2 < 4^k <= 2^((bl-1)/2) / 4 and x >= 2^((bl-1)/2) / 2:
+   the excess is below 1/4, so y is s or s + 1. *)
+let rec isqrt (a : t) : t =
+  let bl = bit_length a in
+  if bl = 0 then zero
+  else if bl <= 100 then isqrt_small a
   else begin
-    (* Newton from any start >= floor(sqrt a) decreases monotonically to
-       floor(sqrt a), so seed it from a float root of a's top bits. With
-       s even and T = a >> s (at most 100 bits),
-       sqrt a < sqrt (T+1) 2^(s/2) and sqrt (T+1) <= sqrt T + 1/2. The
-       float root of T is within 2^-52 sqrt T < 1/4 of sqrt T
-       (T < 2^100), so its ceiling plus 2 bounds sqrt (T+1) from above: a
-       start with about 50 correct bits rather than the one bit of
-       2^ceil(bl/2). *)
-    let s = (max 0 (bit_length a - 100) + 1) land lnot 1 in
-    let root = Float.sqrt (to_float (shift_right a s)) in
-    let seed = of_int (int_of_float (Float.ceil root) + 2) in
-    let x = ref (shift_left seed (s / 2)) in
-    let continue = ref true in
-    while !continue do
-      let q, _ = divmod a !x in
-      let next = shift_right (add !x q) 1 in
-      if compare next !x < 0 then x := next else continue := false
-    done;
-    !x
+    let k = (bl - 5) / 4 in
+    let x = shift_left (isqrt (shift_right a (2 * k))) k in
+    let y = shift_right (add x (fst (divmod a x))) 1 in
+    if compare (mul y y) a > 0 then sub y one else y
   end
 
 let pow_int (b : t) (e : int) : t =

@@ -14,7 +14,8 @@
    soundiness findings), and the *resample* context is touched only by
    the final soundness report — never by selection. Each step reads its
    context's scores ([Rewrite.Improve.errors]), so no (expression,
-   point) pair is scored twice. *)
+   point) pair is scored twice, and every score is taken against the
+   spec's exact value, once per point. *)
 
 module Ast = Fpcore.Ast
 module Suite = Fpcore.Suite

@@ -9,7 +9,8 @@
    branch structure under an MDL penalty ([Search]), emit a branched
    FPCore/MiniC fix ([Emit]), and re-validate it on a disjoint resampled
    context through [Rewrite.Soundness]; every step reads its context's
-   once-per-expression scores ([Rewrite.Improve.errors]). [Regime.table]
+   once-per-expression scores ([Rewrite.Improve.errors]), taken against
+   the spec's exact value, once per point. [Regime.table]
    renders the actual-vs-predicted error table; [Regime.to_json] as JSON. *)
 
 include Infer

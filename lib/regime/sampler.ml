@@ -4,8 +4,10 @@
    (bench, seed, n): it rides the suite's xorshift64* stream through
    [Fpcore.Suite.inputs_for], so the same seed always yields
    byte-identical points — the property the campaign checkpoints, the
-   soundiness oracle, and the regime tests all lean on — and scores
-   each expression on them once ([Rewrite.Improve.errors]).
+   soundiness oracle, and the regime tests all lean on. Its spec is the
+   benchmark's body: the context holds the spec's exact value, once per
+   point, and scores each expression against it once
+   ([Rewrite.Improve.errors]).
 
    Two contexts matter everywhere in this library: the *search* context
    (seed s) that regimes are inferred on, and the *resample* context

@@ -1,9 +1,16 @@
 (* The accuracy improver: a beam search over rewrite rules, scoring each
-   candidate by measured bits of error on sample inputs (float evaluation
-   against the high-precision real evaluation). This is the reproduction's
-   stand-in for Herbie (Panchekha et al. 2015), used to close the loop on
-   Herbgrind's reports: the report's FPCore expression goes in, a
-   more-accurate equivalent comes out (paper section 3.1). *)
+   candidate by measured bits of error on sample inputs. This is the
+   reproduction's stand-in for Herbie (Panchekha et al. 2015), used to
+   close the loop on Herbgrind's reports: the report's FPCore expression
+   goes in, a more-accurate equivalent comes out (paper section 3.1).
+
+   Every candidate is judged against the spec's exact value, once per
+   point: a point context evaluates the specification (the expression
+   the search started from) at 256 bits once per point, rounds it to
+   double, and scores each candidate by float evaluation alone, as
+   Herbie's pcontext does. A candidate is not judged against its own
+   exact value; every rule is a real identity, so the two agree unless
+   256 bits are not enough to tell. *)
 
 module Ast = Fpcore.Ast
 module B = Bignum.Bigfloat
@@ -14,42 +21,60 @@ type sample = (string * float) list
 (* working precision of the exact evaluation behind every score *)
 let prec = 256
 
+(* [e] at [pt] in [prec]-bit arithmetic, rounded to double *)
+let exact_at (e : Ast.expr) (pt : sample) : float =
+  let renv = List.map (fun (x, v) -> (x, B.of_float v)) pt in
+  B.to_float (Fpcore.Eval.eval_r ~prec renv e)
+
 (* One point's error bits, float against exact evaluation; [None] is a
    domain exit (evaluation raised: sqrt of a negative, a log of zero
-   under some rewrite), which says nothing about rounding error. *)
+   under some rewrite), which says nothing about rounding error. Points
+   off any context (the regime search's threshold probes) are scored
+   here. *)
 let error_at (e : Ast.expr) (pt : sample) : float option =
   match
     let f = Fpcore.Eval.eval_f pt e in
-    let renv = List.map (fun (x, v) -> (x, B.of_float v)) pt in
-    (f, Fpcore.Eval.eval_r ~prec renv e)
+    (f, exact_at e pt)
   with
-  | f, r -> Some (Ieee.bits_of_error f (B.to_float r))
+  | f, exact -> Some (Ieee.bits_of_error f exact)
   | exception _ -> None
 
-(* A point context (Herbie's pcontext): sample points plus a table of the
-   expressions scored on them, so each (expression, point) pair is scored
-   at most once, and only when asked for. Keys are [Marshal] images:
-   [compare] equates [Num 0.0] and [Num (-0.0)], which evaluate
-   differently ((/ 1 0) is +inf, (/ 1 -0) is -inf). A context belongs to
-   the job that built it. *)
+(* A point context (Herbie's pcontext): sample points, the exact value
+   of the spec at each ([None] where its evaluation raises), and a
+   table of the expressions scored on them, so each (expression, point)
+   pair is scored at most once, and only when asked for. Keys are
+   [Marshal] images: [compare] equates [Num 0.0] and [Num (-0.0)], which
+   evaluate differently ((/ 1 0) is +inf, (/ 1 -0) is -inf). A context
+   belongs to the job that built it. *)
 type context = {
+  spec : Ast.expr;
   points : sample array;
+  exact : float option Lazy.t array;
   scores : (string, float option Lazy.t array) Hashtbl.t;
 }
 
-let context (points : sample list) : context =
-  { points = Array.of_list points; scores = Hashtbl.create 64 }
+let context ~(spec : Ast.expr) (points : sample list) : context =
+  let points = Array.of_list points in
+  let exact pt = lazy (try Some (exact_at spec pt) with _ -> None) in
+  { spec; points; exact = Array.map exact points; scores = Hashtbl.create 64 }
 
 let key (e : Ast.expr) : string = Marshal.to_string e []
 
-(* [e]'s error at each point of [ctx], in point order; an entry is
-   scored when it is first forced *)
+(* [e]'s error at each point of [ctx], in point order, against the
+   spec's exact value; an entry is scored when it is first forced. A
+   point outside the spec's domain says nothing about any expression. *)
 let errors (ctx : context) (e : Ast.expr) : float option Lazy.t array =
   let k = key e in
   match Hashtbl.find_opt ctx.scores k with
   | Some errs -> errs
   | None ->
-      let errs = Array.map (fun pt -> lazy (error_at e pt)) ctx.points in
+      let score exact pt =
+        lazy
+          (Option.bind (Lazy.force exact) (fun exact ->
+               try Some (Ieee.bits_of_error (Fpcore.Eval.eval_f pt e) exact)
+               with _ -> None))
+      in
+      let errs = Array.map2 score ctx.exact ctx.points in
       Hashtbl.add ctx.scores k errs;
       errs
 
@@ -252,4 +277,4 @@ let improve_sym ?beam ?depth (s : Core.Antiunify.sym)
       (fun tuple -> List.mapi (fun i x -> (x, tuple.(i))) vars)
       samples
   in
-  improve ?beam ?depth e (context samples)
+  improve ?beam ?depth e (context ~spec:e samples)

@@ -81,15 +81,16 @@ let rec render_expr (e : Ast.expr) : string =
 
 (* ---------- point contexts ---------- *)
 
-(* Sample [n] named-assignment points for a benchmark into a new context.
-   This reuses the suite's xorshift64* stream ([Suite.inputs_for]) so the
-   points are a pure function of (bench, seed, n) — the campaign
-   checkpoint needs exactly that to replay byte-identically. *)
+(* Sample [n] named-assignment points for a benchmark into a new context
+   whose spec is the benchmark's body. This reuses the suite's xorshift64*
+   stream ([Suite.inputs_for]) so the points are a pure function of
+   (bench, seed, n) — the campaign checkpoint needs exactly that to
+   replay byte-identically. *)
 let samples_of_bench ?(seed = 42) ~(n : int) (bench : Suite.bench) :
     Improve.context =
   let vars = List.map (fun (v, _, _, _) -> v) bench.Suite.ranges in
   let nvars = List.length vars in
-  Improve.context
+  Improve.context ~spec:(Suite.core_of bench).Ast.body
     (if nvars = 0 then []
      else
        let flat = Suite.inputs_for ~seed bench ~n in

@@ -36,6 +36,30 @@ let test_sampler_determinism () =
         (List.map fst pt))
     (Regime.Sampler.context ~seed:7 ~n:5 b).Rewrite.Improve.points
 
+(* Candidates are scored against the spec's exact value, computed once
+   per point. On the seed-42 search contexts of the straight-line suite
+   that shortcut is exact: every kept beam candidate's shared-exact
+   score equals its own float-vs-exact score at every point. A rule
+   that is not an identity of its input would break this. *)
+let test_shared_exact_is_exact () =
+  List.iter
+    (fun b ->
+      let ctx =
+        Regime.Sampler.context ~seed:42 ~n:Regime.official_points b
+      in
+      let e0 = (Suite.core_of b).Fpcore.Ast.body in
+      List.iter
+        (fun (_, c) ->
+          Array.iteri
+            (fun i err ->
+              let pt = ctx.Rewrite.Improve.points.(i) in
+              if Lazy.force err <> Rewrite.Improve.error_at c pt then
+                Alcotest.failf "%s point %d: %s scores apart from error_at"
+                  b.Suite.name i (Rewrite.Soundness.render_expr c))
+            (Rewrite.Improve.errors ctx c))
+        (Rewrite.Improve.improve_candidates ~depth:Regime.official_depth e0 ctx))
+    (List.filter (fun b -> b.Suite.group = `Straight) Suite.all)
+
 (* ---------- threshold search on a synthetic ---------- *)
 
 (* Two candidates over x = 1..8: candidate 0 is accurate on the low
@@ -199,7 +223,11 @@ let () =
   Alcotest.run "regime"
     [
       ( "sampler",
-        [ Alcotest.test_case "determinism" `Quick test_sampler_determinism ] );
+        [
+          Alcotest.test_case "determinism" `Quick test_sampler_determinism;
+          Alcotest.test_case "shared exact is exact" `Quick
+            test_shared_exact_is_exact;
+        ] );
       ( "search",
         [
           Alcotest.test_case "two-regime synthetic" `Quick

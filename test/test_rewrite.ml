@@ -40,7 +40,7 @@ let log_sample lo hi n =
 let improves_sqrt_cancellation () =
   let e = parse "(- (sqrt (+ x 1)) (sqrt x))" in
   let samples = log_sample 1e8 1e15 12 in
-  let r = Rewrite.Improve.improve e (Rewrite.Improve.context samples) in
+  let r = Rewrite.Improve.improve e (Rewrite.Improve.context ~spec:e samples) in
   checkb
     (Printf.sprintf "error %.1f -> %.1f bits" r.Rewrite.Improve.error_before
        r.Rewrite.Improve.error_after)
@@ -50,7 +50,7 @@ let improves_sqrt_cancellation () =
 let improves_expm1 () =
   let e = parse "(- (exp x) 1)" in
   let samples = log_sample 1e-12 1e-6 10 in
-  let r = Rewrite.Improve.improve e (Rewrite.Improve.context samples) in
+  let r = Rewrite.Improve.improve e (Rewrite.Improve.context ~spec:e samples) in
   checkb "expm1 found" true (r.Rewrite.Improve.error_after < 2.0);
   checkb "uses expm1" true
     (match r.Rewrite.Improve.improved with Ast.Op ("expm1", _) -> true | _ -> false)
@@ -58,7 +58,7 @@ let improves_expm1 () =
 let improves_inv_diff () =
   let e = parse "(- (/ 1 x) (/ 1 (+ x 1)))" in
   let samples = log_sample 1e6 1e12 10 in
-  let r = Rewrite.Improve.improve e (Rewrite.Improve.context samples) in
+  let r = Rewrite.Improve.improve e (Rewrite.Improve.context ~spec:e samples) in
   checkb
     (Printf.sprintf "inv-diff %.1f -> %.1f" r.Rewrite.Improve.error_before
        r.Rewrite.Improve.error_after)
@@ -70,7 +70,7 @@ let improves_sin_difference () =
   let samples =
     List.init 10 (fun i -> [ ("x", 0.3 +. (0.1 *. float_of_int i)) ])
   in
-  let r = Rewrite.Improve.improve e (Rewrite.Improve.context samples) in
+  let r = Rewrite.Improve.improve e (Rewrite.Improve.context ~spec:e samples) in
   checkb
     (Printf.sprintf "sin-diff %.1f -> %.1f" r.Rewrite.Improve.error_before
        r.Rewrite.Improve.error_after)
@@ -94,21 +94,35 @@ let constant_folding_simplifies () =
 let leaves_accurate_alone () =
   let e = parse "(sqrt (+ (* x x) 1))" in
   let samples = log_sample 0.1 100.0 8 in
-  let r = Rewrite.Improve.improve e (Rewrite.Improve.context samples) in
+  let r = Rewrite.Improve.improve e (Rewrite.Improve.context ~spec:e samples) in
   checkb "already accurate" true (r.Rewrite.Improve.error_after <= r.Rewrite.Improve.error_before)
 
 (* A context scores each expression once; its table tells 0 from -0,
    which structural equality would merge although (/ 1 0) is +inf and
    (/ 1 -0) is -inf. *)
 let context_scores_once () =
-  let ctx = Rewrite.Improve.context (log_sample 1.0 10.0 4) in
   let e = parse "(- (sqrt (+ x 1)) (sqrt x))" in
+  let ctx = Rewrite.Improve.context ~spec:e (log_sample 1.0 10.0 4) in
   checkb "a second ask is served from the table" true
     (Rewrite.Improve.errors ctx e == Rewrite.Improve.errors ctx e);
   let div d = Ast.Op ("/", [ Ast.Num 1.0; Ast.Num d ]) in
   checkb "0 and -0 are scored apart" true
     (Rewrite.Improve.errors ctx (div 0.0)
     != Rewrite.Improve.errors ctx (div (-0.0)))
+
+(* A candidate is scored against the spec's exact value, not its own:
+   the spec (- (+ x 1) x) is exactly 1, so the constant 2 is off by 2^52
+   ulps (52 bits) everywhere, though it evaluates to itself exactly. *)
+let scored_against_spec () =
+  let spec = parse "(- (+ x 1) x)" in
+  let ctx = Rewrite.Improve.context ~spec (log_sample 1.0 1e6 8) in
+  Array.iter
+    (fun err ->
+      match Lazy.force err with
+      | Some bits ->
+          checkb (Printf.sprintf "%.2f bits" bits) true (Float.abs (bits -. 52.0) < 0.01)
+      | None -> Alcotest.fail "domain exit")
+    (Rewrite.Improve.errors ctx (Ast.Num 2.0))
 
 (* the full paper-story loop: analyze, recover expression, improve it *)
 let closes_the_loop_on_analysis_output () =
@@ -156,5 +170,6 @@ let () =
           Alcotest.test_case "closes the loop" `Quick
             closes_the_loop_on_analysis_output;
           Alcotest.test_case "context scores once" `Quick context_scores_once;
+          Alcotest.test_case "scored against spec" `Quick scored_against_spec;
         ] );
     ]
