@@ -29,15 +29,14 @@ let time_run f =
 
 (* Median of a few repetitions, after one untimed warm-up run. The major
    collection keeps GC debt from earlier (allocation-heavy) analysis runs
-   from being paid during later cheap native timings. *)
+   from being paid during later cheap native timings. Each run gets a
+   fresh domain, so per-domain caches (the libm memo of [Vex.Eval]) start
+   empty and a repetition times the shadow kernels, not memo hits. *)
 let timed ?(reps = 3) f =
+  let run () = Domain.join (Domain.spawn (fun () -> snd (time_run f))) in
   Gc.major ();
-  ignore (time_run f);
-  let times =
-    List.init reps (fun _ ->
-        let _, t = time_run f in
-        t)
-  in
+  ignore (run ());
+  let times = List.init reps (fun _ -> run ()) in
   List.nth (List.sort compare times) (reps / 2)
 
 let pr fmt = Printf.printf fmt

@@ -326,32 +326,15 @@ let to_float t =
   | Inf true -> Float.neg_infinity
   | Zero false -> 0.0
   | Zero true -> -0.0
-  | Fin f -> begin
-      let signf v = if f.neg then -.v else v in
+  | Fin f ->
+      (* 53 bits in the normal range, fewer in the subnormal range; below
+         2^-1075 the value rounds to zero, from 2^1024 up to infinity *)
       let mag = magnitude f in
-      if mag > 1025 then signf Float.infinity
-      else if mag < -1080 then signf 0.0
-      else begin
-        (* Round to an integer multiple of 2^q where q is the value's
-           quantum: -1074 in the subnormal range, mag - 53 otherwise. *)
-        let q = max (-1074) (mag - 53) in
-        let v =
-          if f.exp >= q then
-            ldexp (N.to_float (N.shift_left f.mant (f.exp - q))) q
-          else begin
-            let drop = q - f.exp in
-            let keep = N.shift_right f.mant drop in
-            let low = N.sub f.mant (N.shift_left keep drop) in
-            let halfway = N.shift_left N.one (drop - 1) in
-            let c = N.compare low halfway in
-            let up = if c > 0 then true else if c < 0 then false else N.testbit keep 0 in
-            let keep = if up then N.add keep N.one else keep in
-            ldexp (N.to_float keep) q
-          end
-        in
-        signf v
-      end
-    end
+      let v =
+        if mag < -1074 then 0.0
+        else N.to_float_scaled f.mant (min 53 (mag + 1074)) f.exp
+      in
+      if f.neg then -.v else v
 
 let to_bigint t =
   match t with

@@ -86,6 +86,98 @@ let ln2 ~prec = ziv ~prec (fun ~w -> ln2_fixed ~f:w)
 let signed_pi ~prec neg = if neg then B.neg (pi ~prec) else pi ~prec
 let half_pi ~prec neg = B.mul_2exp (signed_pi ~prec neg) (-1)
 
+(* ---------- the Taylor series of exp, sin and cos ---------- *)
+
+(* The index of the first term t0 y^k / (d 1 ... d k) below one, walked
+   in floats as v 2^b, v scaled up while b is large and then b folded in *)
+let series_terms ~d t0 yf =
+  let rec go k v b =
+    if b > 0 && (b < 512 || v < 0x1p-512) then
+      let s = min b 512 in
+      go k (Float.ldexp v s) (b - s)
+    else if b = 0 && v < 1.0 then k
+    else go (k + 1) (v *. (yf /. float_of_int (d (k + 1)))) b
+  in
+  go 0 1.0 (N.bit_length t0)
+
+(* The accumulator count m of [series] for K terms: K / m block products
+   on terms that shrink as they go, about half width on average, and
+   2 (m - 1) full products for z and the Horner pass, so about
+   sqrt (K / 4), even (for the signs) and at least 4 (for the bound).
+   Below 20 terms m = 1, and so for a factor y narrower than half the
+   fraction bits (z m times wider) or than 256 bits, where a product
+   costs little more than the division beside it. *)
+let accumulators ~f ~d t0 y sy =
+  if N.bit_length y < max 256 (f / 2) then 1
+  else
+    let k = series_terms ~d t0 (B.to_float (B.make ~neg:false ~mant:y ~exp:(-sy))) in
+    if k < 20 then 1 else max 4 (2 * int_of_float ((Float.sqrt (float_of_int k) /. 4.0) +. 0.5))
+
+(* [series ~f ~alt ~d t0 y sy] sums, in fixed point with f fraction bits,
+   sum_k (+-1)^k tau_k for tau_0 = t0 <= 2^f and
+   tau_k = tau_(k-1) u / d k, u = y / 2^sy < 1, alternating when [alt]
+   and otherwise for u <= 1/2. It needs d k >= k. Returns (s, e) with
+   |s - sum| < e.
+
+   Smith's concurrent summation. With m accumulators and z = u^m, term
+   k = i m + j (0 <= j < m) is tau_k = a_k u^j for a_k = t0 z^i / D_k,
+   D_k = d 1 ... d k, and sum = sum_j (+-u)^j S_j for S_j the sum of
+   the a_k with k mod m = j. Inside a block a_k = a_(k-1) / d k, one
+   division; a block starts with a product by z; a Horner pass in u
+   combines the S_j. m = 1 is the plain series.
+
+   The bound, in units of 2^-f. Z = 2^f z is computed by m - 1 short
+   products, each floor (p y / 2^sy) or one less, so Z <= 2^f z and
+   zeta = 2^f z - Z < 2 (m - 1). The kernel takes A_0 = t0 and
+   A_k = floor (A_(k-1) / d k) inside a block, floor (P / d k) at a
+   block start for P the short product of A_(k-1) and Z. Each step
+   rounds down from underestimates, so 0 <= delta_k = a_k - A_k, and:
+   - inside a block, delta_k < delta_(k-1) / d k + 1;
+   - at a block start, with a_(k-1) <= 2^f / D_(k-1) <= 2^f / (m-1)!,
+       delta_k < (a_(k-1) zeta / 2^f + delta_(k-1) + 2) / d k + 1
+               < (2 + delta_(k-1) + 2) / d k + 1
+     (for m = 1, zeta = 0 and the first 2 drops).
+   With delta_0 = 0, d k >= k and k >= m >= 4 at block starts (or
+   m = 1), every delta_k < 4. The loop stops at the first A_K = 0, so
+   tau_K <= a_K < 4 and the tail from K is below 4 (alternating,
+   decreasing) or 8 (u <= 1/2). The m - 1 Horner steps multiply the
+   error of the inner sum by u < 1 and add under 2 each. Hence
+   e = 4 (K - 1) + 8 + 2 (m - 1).
+
+   Signs: for m = 1 an alternating S_0 takes the terms in turn, and the
+   terms never increase, so it stays nonnegative. For even m each S_j
+   has the fixed sign (-1)^j, and the Horner step S_j - u H_(j+1) is
+   nonnegative: the S_(j+1) terms are each at most their S_j
+   counterpart, H_(j+1) <= S_(j+1) and the product rounds down. *)
+let series ~f ~alt ~d t0 y sy =
+  let m = accumulators ~f ~d t0 y sy in
+  let z, sz =
+    if m = 1 then (y, sy)
+    else
+      let rec pow l z = if l = m then z else pow (l + 1) (N.mul_shift_right z y sy) in
+      (pow 1 (N.shift_left y (f - sy)), f)
+  in
+  let acc = Array.make m N.zero in
+  acc.(0) <- t0;
+  let alt1 = alt && m = 1 in
+  (* term k, which is term j of its block *)
+  let rec go k j t =
+    let p = if j = 0 then N.mul_shift_right t z sz else t in
+    let t, _ = N.divmod_int p (d k) in
+    if N.is_zero t then k
+    else begin
+      acc.(j) <- (if alt1 && k land 1 = 1 then N.sub acc.(j) t else N.add acc.(j) t);
+      go (k + 1) (if j + 1 = m then 0 else j + 1) t
+    end
+  in
+  let k = go 1 (1 mod m) t0 in
+  let h = ref acc.(m - 1) in
+  for j = m - 2 downto 0 do
+    let p = N.mul_shift_right !h y sy in
+    h := if alt then N.sub acc.(j) p else N.add acc.(j) p
+  done;
+  (!h, N.of_int ((4 * (k + 1)) + (2 * (m - 1))))
+
 (* ---------- exp: reduce by k ln 2 and 2^-s, Taylor, s squarings ---------- *)
 
 let ln2_f = 0.6931471805599453
@@ -104,12 +196,9 @@ let exp_out_of_range xf = Float.abs (Float.round (xf /. ln2_f)) > 1e9
    x with |x| < ln 2 stays a short series factor.
 
    Series. 2^f exp (+-rho) = sum (+-1)^i tau_i, tau_0 = 2^f,
-   tau_i = tau_(i-1) rho / i. The loop takes t_i = floor (P_i / i) for
-   P_i the short product of t_(i-1) and R, so 0 <= t_i <= tau_i and
-   tau_i - t_i < (tau_(i-1) - t_(i-1) + 2) / i + 1 < 4. It stops at the
-   first t_K = 0: tau_K < 4 and the tail, each term at most half the
-   last, is below 8. With |exp r - exp (+-rho)| < 3 2^-f, the sum is
-   within e_0 = 4 (K + 3) of 2^f exp r.
+   tau_i = tau_(i-1) rho / i, is [series] with d i = i and rho < 2^-s.
+   With |exp r - exp (+-rho)| < 3 2^-f, its sum is within e_0 = e + 3
+   of 2^f exp r.
 
    Squarings. If |E - v| <= e for v = 2^f exp (2^j r), the short square
    of E is within e (2E + e) / 2^f + 2 of v^2 / 2^f: the new bound is
@@ -133,21 +222,14 @@ let exp_approx ~w x =
   let xg = Bigint.make ~neg (to_fixed ~f:g x) in
   let k, r = reduce k0 (Bigint.sub xg (Bigint.mul (Bigint.of_int k0) l)) in
   let r, sr = short_factor r f in
-  (* the terms never increase, so alternating partial sums stay positive *)
-  let rec series i t sum =
-    let t, _ = N.divmod_int (N.mul_shift_right t r sr) i in
-    if N.is_zero t then (sum, i)
-    else series (i + 1) t (if neg && i land 1 = 1 then N.sub sum t else N.add sum t)
-  in
-  let one = N.shift_left N.one f in
-  let sum, terms = series 1 one one in
+  let sum, e = series ~f ~alt:neg ~d:Fun.id (N.shift_left N.one f) r sr in
   let rec square j m e =
     if j = 0 then { neg = false; m; e; x = k - f }
     else
       let e' = N.shift_right (N.mul e (N.add (N.shift_left m 1) e)) f in
       square (j - 1) (N.mul_shift_right m m f) (N.add e' (N.of_int 3))
   in
-  square s sum (N.of_int (4 * (terms + 3)))
+  square s sum (N.add e (N.of_int 3))
 
 (* exp z for an interval z: exp at its exact centre c, widened by
    |exp z - exp c| <= exp c (e^d - 1) <= 2 d exp c for d <= 1 *)
@@ -383,42 +465,21 @@ let trig_reduce ~wp x =
    |r| < 1 in fixed point with [f] fraction bits: [(s, e)] with
    |2^f sin|r| - s| < e.
 
-   The error bound, in units of 2^-f. Write rho = |r| 2^f,
-   y = rho^2 / 2^f, and d_k = 2k(2k+1) for sin, (2k-1)2k for cos. The
-   exact terms are tau_0 = rho (sin) or 2^f (cos) and
-   tau_k = tau_{k-1} y / (2^f d_k), so 2^f sin|r| = sum (-1)^k tau_k,
-   and every tau_k <= 2^f. The kernel computes R = floor rho,
-   Y = floor (R^2 / 2^f) and t_k = floor (P_k / d_k), where the short
-   product P_k = [N.mul_shift_right t_{k-1} Y f] is
-   floor (t_{k-1} Y / 2^f) or one less.
-   - Every step rounds down from underestimates, so 0 <= t_k <= tau_k.
-   - 0 <= y - Y < (rho + R) / 2^f + 1 < 3, since rho < 2^f.
-   - P_k loses less than 2 and the division's floor less than 1 more,
-     so delta_k = tau_k - t_k obeys
-       delta_k < (tau_{k-1} (y - Y) + Y delta_{k-1}) / (2^f d_k)
-                 + 2/d_k + 1
-               < (5 + delta_{k-1}) / d_k + 1.
-     With delta_0 < 1 (sin) or = 0 (cos), d_1 >= 2 and d_k >= 12 for
-     k >= 2, every delta_k < 3.5.
-   - The loop stops at the first t_K = 0, so tau_K = delta_K < 3.5. The
-     terms decrease (r^2 < d_k), so the alternating tail from K on is at
-     most tau_K.
-   Summing K kept terms and the tail: the error is below
-   3.5 (K + 1) < e = 4 (K + 1). *)
+   Write rho = |r| 2^f, u = r^2, and d_k = 2k(2k+1) for sin, (2k-1)2k
+   for cos: 2^f sin|r| = rho g(u) for g(u) = sin (sqrt u) / sqrt u =
+   sum (-1)^k u^k / D_k, and 2^f cos r = 2^f g(u) for g(u) =
+   cos (sqrt u). The kernel runs [series] on R = floor rho (sin) or 2^f
+   (cos) and v = Y / 2^f for Y = floor (R^2 / 2^f), so 0 <= u - v <
+   ((rho + R) / 2^f + 1) 2^-f < 3 2^-f. Since |g'| <= 1/6 (sin) or 1/2
+   (cos) on [0, 1) and |g| <= 1, swapping rho for R and u for v moves
+   the value by under 1 + 1/2 (sin) or 3/2 (cos): 2 more units. *)
 let trig_series ~cos ~f r =
   assert (B.is_zero r || magnitude r <= 0);
   let rr = to_fixed ~f r in
   let y, sy = short_factor (N.shift_right (N.mul rr rr) f) f in
-  let t0 = if cos then N.shift_left N.one f else rr in
-  let rec go k t s =
-    let p = N.mul_shift_right t y sy in
-    let d = if cos then ((2 * k) - 1) * (2 * k) else 2 * k * ((2 * k) + 1) in
-    let t, _ = N.divmod_int p d in
-    if N.is_zero t then (s, N.of_int (4 * (k + 1)))
-    (* the computed terms never increase, so s >= t when subtracting *)
-    else go (k + 1) t (if k land 1 = 1 then N.sub s t else N.add s t)
-  in
-  go 1 t0 t0
+  let d k = if cos then ((2 * k) - 1) * (2 * k) else 2 * k * ((2 * k) + 1) in
+  let s, e = series ~f ~alt:true ~d (if cos then N.shift_left N.one f else rr) y sy in
+  (s, N.add e N.two)
 
 (* min 0 (magnitude r): a sin(r) result needs f to grow as |r| shrinks *)
 let lead r = if B.is_zero r then 0 else min 0 (magnitude r)

@@ -174,17 +174,16 @@ let rec mul (a : t) (b : t) : t =
   end
 
 
+(* the bit length of the top limb by halving: 16, 8, 4, 2, 1 *)
 let bit_length_raw (a : int array) (la : int) =
   if la = 0 then 0
   else begin
-    let top = a.(la - 1) in
-    let bits = ref 0 in
-    let v = ref top in
-    while !v > 0 do
-      incr bits;
-      v := !v lsr 1
-    done;
-    ((la - 1) * base_bits) + !bits
+    let rec go v n step =
+      if step = 0 then n + v
+      else if v lsr step > 0 then go (v lsr step) (n + step) (step / 2)
+      else go v n (step / 2)
+    in
+    ((la - 1) * base_bits) + go a.(la - 1) 0 16
   end
 
 let bit_length (a : t) = bit_length_raw a (Array.length a)
@@ -192,6 +191,16 @@ let bit_length (a : t) = bit_length_raw a (Array.length a)
 let testbit (a : t) (i : int) =
   let limb = i / base_bits and off = i mod base_bits in
   limb < Array.length a && (a.(limb) lsr off) land 1 = 1
+
+(* floor (a / 2^lo) mod 2^n for n <= 62, from the three limbs that can
+   hold it *)
+let bits (a : t) lo n =
+  let limb = lo / base_bits and off = lo mod base_bits in
+  let get i = if i < Array.length a then Array.unsafe_get a i else 0 in
+  ((get limb lsr off)
+  lor (get (limb + 1) lsl (base_bits - off))
+  lor (get (limb + 2) lsl ((2 * base_bits) - off)))
+  land ((1 lsl n) - 1)
 
 (* Is any bit strictly below position [i] set? Scans from the bottom, so
    for odd values (canonical Bigfloat mantissas) it answers in O(1). *)
@@ -574,29 +583,20 @@ let divmod (a : t) (b : t) : t * t =
   end
   else divmod_knuth a b
 
-let to_float (a : t) =
-  let bl = bit_length a in
-  if bl = 0 then 0.0
-  else if bl <= 53 then begin
-    match to_int_opt a with
-    | Some i -> float_of_int i
-    | None -> assert false
-  end
+(* The double nearest a 2^e among those with n <= 53 significant bits
+   at a's top: the kept bits and the round bit in one word, the sticky
+   bit below them read in place. *)
+let to_float_scaled (a : t) n e =
+  let sh = bit_length a - n in
+  if sh <= 0 then ldexp (float_of_int (bits a 0 53)) e
   else begin
-    (* Keep 54 bits plus a sticky bit, then round to nearest even. *)
-    let sh = bl - 54 in
-    let top = shift_right a sh in
-    let sticky = compare (shift_left top sh) a <> 0 in
-    let i =
-      match to_int_opt top with Some i -> i | None -> assert false
-    in
-    let round_bit = i land 1 = 1 in
+    let i = bits a (sh - 1) (n + 1) in
     let keep = i lsr 1 in
-    let rounded =
-      if round_bit && (sticky || keep land 1 = 1) then keep + 1 else keep
-    in
-    ldexp (float_of_int rounded) (sh + 1)
+    let up = i land 1 = 1 && (any_bit_below a (sh - 1) || keep land 1 = 1) in
+    ldexp (float_of_int (if up then keep + 1 else keep)) (sh + e)
   end
+
+let to_float (a : t) = to_float_scaled a 53 0
 
 (* floor (sqrt a) for 0 < a < 2^100 by Newton from above: from any start at
    least floor (sqrt a) the iterates decrease monotonically to it. The

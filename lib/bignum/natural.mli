@@ -98,4 +98,9 @@ val to_string : t -> string
 val to_float : t -> float
 (** Nearest [float] (round to nearest even); may be [infinity]. *)
 
+val to_float_scaled : t -> int -> int -> float
+(** [to_float_scaled a n e] is [a 2^e] rounded to nearest even at
+    [0 <= n <= 53] significant bits (n below 53 for subnormals); may be
+    [infinity]. O(1) on odd [a]. *)
+
 val pp : Format.formatter -> t -> unit

@@ -115,10 +115,10 @@ let record_spot d c kind ~(agree : bool) (infl : IntSet.t) =
 
 (* ---------- error metrics ---------- *)
 
-let out_error d (client : float) (real : B.t) ~single =
+(* [rf] is the exact value rounded to the nearest double *)
+let out_error d (client : float) (rf : float) ~single =
   if not d.cfg.Config.enable_reals then 0.0
   else begin
-    let rf = B.to_float real in
     if single then Ieee.Single.bits_of_error client (Ieee.Single.of_double rf)
     else Ieee.bits_of_error client rf
   end
@@ -147,18 +147,16 @@ let do_op d c ~name ~single ~(client : float)
       real_fn (Array.map (fun s -> s.Shadow.real) shadows)
     else B.of_float client
   in
-  (* local error: round the exact inputs to floats, run the op in client
-     arithmetic, compare with the rounded exact result *)
+  let rounded = B.to_float real in
+  (* local error: the exact inputs rounded to floats, the op run in client
+     arithmetic, compared with the rounded exact result *)
   let local_err =
     if not cfg.Config.enable_reals then 0.0
     else begin
-      let round v =
-        let f = B.to_float v in
-        if single then Ieee.Single.of_double f else f
-      in
-      let rounded_args = Array.map (fun s -> round s.Shadow.real) shadows in
+      let round f = if single then Ieee.Single.of_double f else f in
+      let rounded_args = Array.map (fun s -> round s.Shadow.rounded) shadows in
       let r_f = client_fn rounded_args in
-      let r_r = round real in
+      let r_r = round rounded in
       if single then Ieee.Single.bits_of_error r_f r_r
       else Ieee.bits_of_error r_f r_r
     end
@@ -186,9 +184,9 @@ let do_op d c ~name ~single ~(client : float)
             let s = shadows.(i) in
             if B.equal real s.Shadow.real then begin
               let arg_err =
-                out_error d (Shadow.client_value s) s.Shadow.real ~single
+                out_error d (Shadow.client_value s) s.Shadow.rounded ~single
               in
-              let out_err = out_error d client real ~single in
+              let out_err = out_error d client rounded ~single in
               if out_err < arg_err then Some s else None
             end
             else None
@@ -205,7 +203,7 @@ let do_op d c ~name ~single ~(client : float)
              longer reduce output error. This is what keeps Triangle's 225
              compensated computations out of the report (section 7). *)
           d.compensations <- d.compensations + 1;
-          if out_error d client real ~single <= cfg.Config.error_threshold
+          if out_error d client rounded ~single <= cfg.Config.error_threshold
           then IntSet.empty
           else passthrough.Shadow.infl
       | None ->
@@ -237,7 +235,7 @@ let do_op d c ~name ~single ~(client : float)
     o.o_count <- o.o_count + 1;
     o.o_local_err_sum <- o.o_local_err_sum +. local_err;
     if local_err > o.o_local_err_max then o.o_local_err_max <- local_err;
-    let oe = out_error d client real ~single in
+    let oe = out_error d client rounded ~single in
     o.o_out_err_sum <- o.o_out_err_sum +. oe;
     if oe > o.o_out_err_max then o.o_out_err_max <- oe
   end
@@ -248,7 +246,7 @@ let do_op d c ~name ~single ~(client : float)
     o.o_local_err_sum <- o.o_local_err_sum +. local_err;
     if local_err > o.o_local_err_max then o.o_local_err_max <- local_err
   end;
-  { Shadow.real; value = client; trace; infl; single }
+  { Shadow.real; rounded; value = client; trace; infl; single }
 
 (* ---------- the full engine's shadow domain ---------- *)
 
@@ -292,14 +290,15 @@ module Dom = struct
      trace node carried — ride along unchanged *)
   let sign d name f ~client (s : Shadow.t) : Shadow.t =
     let real = f s.Shadow.real in
+    let s' = { s with Shadow.real; rounded = B.to_float real } in
     if d.cfg.Config.enable_expressions then
       let trace =
         Some
           (Trace.node ~max_depth:d.cfg.Config.max_trace_depth
              ~key:(B.hash real) name [| Shadow.trace_of s |] client)
       in
-      { s with Shadow.real; value = client; trace }
-    else { s with Shadow.real }
+      { s' with value = client; trace }
+    else s'
 
   let neg d ~client s = sign d "neg" B.neg ~client s
   let abs d ~client s = sign d "fabs" B.abs ~client s
@@ -338,7 +337,8 @@ module Dom = struct
         None
       end
     in
-    { Shadow.real; value = client; trace; infl = IntSet.empty; single }
+    { Shadow.real; rounded = B.to_float real; value = client; trace;
+      infl = IntSet.empty; single }
 
   (* float -> int: a conversion spot *)
   let to_int d c ~rn (s : Shadow.t) client_int =
@@ -371,7 +371,7 @@ module Dom = struct
            division-by-zero finding, section 7) *)
         let err =
           if Float.is_nan f && d.cfg.Config.enable_reals then 64.0
-          else out_error d f s.Shadow.real ~single:s.Shadow.single
+          else out_error d f s.Shadow.rounded ~single:s.Shadow.single
         in
         sp.s_err_sum <- sp.s_err_sum +. err;
         if err > sp.s_err_max then sp.s_err_max <- err;

@@ -7,6 +7,10 @@
    in temporaries, thread state, and memory (section 6.2); OCaml's GC
    replaces the reference counting of the C implementation.
 
+   [rounded] is [real] rounded to the nearest double, once, where the
+   shadow is created: local error, output error and the compensation
+   check read it instead of rounding a 1000-bit real again at each use.
+
    [value] is the client double computed where the shadow was created
    (trace-node semantics: passthrough rewrites such as precision moves
    keep the creating site's value). It lives directly in the shadow so
@@ -21,6 +25,7 @@ module IntSet = Set.Make (Int)
 
 type t = {
   real : Bignum.Bigfloat.t;
+  rounded : float;
   value : float;
   trace : Trace.node option;
   infl : IntSet.t;
@@ -40,7 +45,8 @@ let fresh_leaf ?(single = false) ~traces (v : float) : t =
       None
     end
   in
-  { real; value = v; trace; infl = IntSet.empty; single }
+  { real; rounded = Bignum.Bigfloat.to_float real; value = v; trace;
+    infl = IntSet.empty; single }
 
 let client_value (s : t) : float = s.value
 

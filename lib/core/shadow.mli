@@ -1,7 +1,8 @@
 (** Shadow values (paper sections 4 and 5.1-5.2).
 
     A shadowed float carries the three analyses at once: the exact real
-    value (standing in for MPFR), the concrete trace of the computation
+    value (standing in for MPFR) with its nearest double, the concrete
+    trace of the computation
     that produced it, and the influence set of high-local-error
     operations it depends on. Shadows are immutable and freely shared
     between copies in temporaries, thread state and memory (6.2).
@@ -17,6 +18,9 @@ module IntSet : Set.S with type elt = int
 
 type t = {
   real : Bignum.Bigfloat.t;  (** the exact value *)
+  rounded : float;
+      (** [real] rounded to the nearest double, once at creation: the
+          error metrics read it instead of rounding [real] per use *)
   value : float;  (** the client double computed where this was created *)
   trace : Trace.node option;  (** how it was computed; [None] = phantom *)
   infl : IntSet.t;  (** stmt ids of tainting operations *)

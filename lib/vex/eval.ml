@@ -233,9 +233,10 @@ let libm_apply_real_uncached ~prec (name : string)
         (Printf.sprintf "Eval.libm_apply_real: unknown %s/%d" name
            (Array.length args))
 
-(* Transcendentals dominate shadow-execution cost: at 1000 bits a sin,
-   exp or log sums about a hundred fixed-point series terms, 75-100 us
-   on one core of a 2-vCPU VM, and an atan about 140 us. Loop-heavy
+(* Transcendentals dominate shadow-execution cost: at 1000 bits a sin
+   or exp sums 50 to 90 fixed-point series terms in a few concurrent
+   accumulators, about 55 us on one core of a 2-vCPU VM, a log about
+   65 us and an atan about 100 us. Loop-heavy
    clients often revisit the same argument — e.g. a benchmark computing
    cos of the same subexpression twice per iteration.  Memoize per domain, keyed on the
    structural representation of the arguments: Bigfloat values are

@@ -67,9 +67,18 @@ let nat_string_roundtrip () =
     "340282366920938463463374607431768211456"
     (N.to_string (N.pow_int N.two 128))
 
+(* Half the inputs lie within 2 sqrt a of a perfect square, where the
+   last Newton step of a wide root can land one above the floor. *)
 let nat_isqrt () =
-  for _ = 1 to 100 do
-    let a = random_nat (1 + Random.int 400) in
+  for i = 1 to 400 do
+    let a =
+      if i land 1 = 0 then random_nat (1 + Random.int 400)
+      else begin
+        let s = N.add (random_nat (1 + Random.int 200)) N.one in
+        let d = snd (N.divmod (random_nat (N.bit_length s + 1)) (N.mul_int s 2)) in
+        if Random.bool () then N.add (N.mul s s) d else N.sub (N.mul s s) d
+      end
+    in
     let s = N.isqrt a in
     checkb "s*s <= a" true (N.compare (N.mul s s) a <= 0);
     let s1 = N.add s N.one in
@@ -437,6 +446,50 @@ let random_mant rng bits =
   in
   fill N.one (bits - 1)
 
+(* the nearest double by comparing the exact discarded part with half
+   an ulp, ties to even; q is the quantum of the result *)
+let reference_to_float (x : B.t) =
+  match x with
+  | B.Fin f ->
+      let q = max (-1074) (f.B.exp + N.bit_length f.B.mant - 53) in
+      let d = max 0 (q - f.B.exp) in
+      let keep = N.shift_right f.B.mant d in
+      let low2 = N.shift_left (N.sub f.B.mant (N.shift_left keep d)) 1 in
+      let c = N.compare low2 (N.shift_left N.one d) in
+      let keep = if c > 0 || (c = 0 && not (N.is_even keep)) then N.add keep N.one else keep in
+      let v = Float.ldexp (float_of_int (Option.get (N.to_int_opt keep))) (f.B.exp + d) in
+      if f.B.neg then -.v else v
+  | _ -> B.to_float x
+
+(* 10^5 values: mantissas of 1 to 1100 bits with magnitudes in the
+   subnormal range, at the underflow and overflow edges and in between;
+   a third are exact ties at the rounding position *)
+let bf_to_float_reference () =
+  let rng = Random.State.make [| 31 |] in
+  for i = 1 to 100_000 do
+    let mag =
+      match i mod 4 with
+      | 0 -> -1080 + Random.State.int rng 70
+      | 1 -> 1015 + Random.State.int rng 15
+      | 2 -> -1130 + Random.State.int rng 60
+      | _ -> Random.State.int rng 2000 - 1000
+    in
+    let bits, mant =
+      if i mod 3 = 0 then
+        (* a tie: n kept bits, then a lone round bit *)
+        let n = max 1 (min 53 (mag + 1074)) in
+        (n + 1, N.add (N.shift_left (random_mant rng n) 1) N.one)
+      else
+        let bits = 1 + Random.State.int rng 1100 in
+        (bits, random_mant rng bits)
+    in
+    let x = B.make ~neg:(Random.State.bool rng) ~mant ~exp:(mag - bits) in
+    let want = reference_to_float x and got = B.to_float x in
+    if Int64.bits_of_float want <> Int64.bits_of_float got then
+      Alcotest.failf "to_float %s: %h, want %h" (B.to_decimal_string ~digits:30 x)
+        got want
+  done
+
 (* [gen rng prec] draws an argument; [n] of them per precision and
    function, fewer at 1000 bits *)
 let doubling_case gen () =
@@ -466,6 +519,38 @@ let gen_near_half_pi rng prec =
   let wp = prec + 64 in
   let k = B.of_int (1 + Random.State.int rng 1_000_000) in
   B.round ~prec (B.mul_2exp (B.mul ~prec:wp k (M.pi ~prec:wp)) (-1))
+
+(* x = k pi/2 + r with |r| near pi/4, where the series is longest, or
+   near 2^-30, where it is shortest; r and x dense p-bit values *)
+let gen_reduced ~quarter rng prec =
+  let wp = (2 * prec) + 64 in
+  let u = B.make ~neg:false ~mant:(random_mant rng prec) ~exp:(-prec) in
+  let r =
+    if quarter then B.sub ~prec:wp (B.mul_2exp (M.pi ~prec:wp) (-2)) (B.mul_2exp u (-20))
+    else B.mul_2exp u (-29)
+  in
+  let k = B.of_int (if Random.State.bool rng then 0 else Random.State.int rng 1_000_000) in
+  let kpi = B.mul_2exp (B.mul ~prec:wp k (M.pi ~prec:wp)) (-1) in
+  let r = if Random.State.bool rng then B.neg r else r in
+  B.round ~prec (B.add ~prec:wp kpi r)
+
+(* the series kernels up to 2000 bits, where they sum in the most
+   accumulators, on dense arguments and both ends of the reduced range *)
+let doubling_series () =
+  List.iter
+    (fun prec ->
+      let rng = Random.State.make [| prec; 5 |] in
+      let n = if prec >= 1000 then 2 else 6 in
+      List.iter
+        (fun (name, f) ->
+          List.iter
+            (fun gen ->
+              for _ = 1 to n do
+                doubling_ok name f ~prec (gen rng prec)
+              done)
+            [ gen_dense; gen_reduced ~quarter:true; gen_reduced ~quarter:false ])
+        [ ("sin", M.sin); ("cos", M.cos); ("tan", M.tan); ("exp", M.exp) ])
+    (oracle_precs @ [ 2000 ])
 
 let gen_tiny rng prec =
   B.make ~neg:(Random.State.bool rng) ~mant:(random_mant rng prec)
@@ -570,6 +655,8 @@ let () =
           Alcotest.test_case "decimal print" `Quick bf_decimal_print;
           Alcotest.test_case "floor/ceil/round/trunc" `Quick bf_floor_ceil;
           Alcotest.test_case "subnormal conversion" `Quick bf_subnormal_to_float;
+          Alcotest.test_case "to_float = reference rounding" `Quick
+            bf_to_float_reference;
         ] );
       ( "bigfloat_math",
         [
@@ -594,6 +681,8 @@ let () =
             (doubling_case gen_near_half_pi);
           Alcotest.test_case "below 2^-200" `Quick (doubling_case gen_tiny);
           Alcotest.test_case "midpoint hard cases" `Quick doubling_hard_cases;
+          Alcotest.test_case "series to 2000 bits, |r| near pi/4 or 2^-30"
+            `Quick doubling_series;
         ] );
       ( "properties",
         (* seeded per-test so `dune runtest` is deterministic; set
